@@ -24,7 +24,7 @@ from repro.common import (
     paper_system_config,
     tiny_system_config,
 )
-from repro.exec import BatchReport, ResultStore, Scheduler, SimJob, run_jobs
+from repro.exec import BatchReport, FileResultStore, Scheduler, SimJob, run_jobs
 from repro.metrics import (
     average_normalized_turnaround,
     fairness,
@@ -61,12 +61,12 @@ __all__ = [
     "BatchReport",
     "BenchmarkSpec",
     "CacheGeometry",
+    "FileResultStore",
     "LatencyConfig",
     "MulticoreEngine",
     "NUCache",
     "NUcacheConfig",
     "ReproError",
-    "ResultStore",
     "Scheduler",
     "SimJob",
     "SimResult",

@@ -552,7 +552,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """Serve a local store (fs or sqlite) to the fleet over TCP.
+    """Serve a local fs store to the fleet over TCP.
 
     Prints one parseable ``listening on HOST:PORT`` line once the socket
     is bound (with ``--port 0`` the kernel picks the port, so callers
@@ -578,7 +578,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if backing.backend == "net":
         print(
             "error: cannot serve a net:// store (that is already a "
-            "server); point serve at an fs or sqlite spec",
+            "server); point serve at a path or an fs:// spec",
             file=sys.stderr,
         )
         return 2
@@ -773,6 +773,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+#: Help text of every ``--store`` flag.
+_STORE_HELP = (
+    "result-store backend: fs, fs://PATH, or net://HOST:PORT "
+    "(default: REPRO_STORE or fs)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -808,9 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--store", default=None, metavar="BACKEND",
-        help="result-store backend: fs, sqlite, net://host:port, or a "
-        "backend://path URL "
-        "(default: REPRO_STORE or fs)",
+        help=_STORE_HELP,
     )
     run_parser.add_argument(
         "--trace", action="store_true",
@@ -868,9 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         target.add_argument(
             "--store", default=None, metavar="BACKEND",
-            help="result-store backend: fs, sqlite, net://host:port, or a "
-        "backend://path URL "
-            "(default: REPRO_STORE or fs)",
+            help=_STORE_HELP,
         )
         target.add_argument(
             "-o", "--output", default=None, metavar="PATH",
@@ -955,9 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument(
         "--store", default=None, metavar="BACKEND",
-        help="result-store backend: fs, sqlite, net://host:port, or a "
-        "backend://path URL "
-        "(default: REPRO_STORE or fs)",
+        help=_STORE_HELP,
     )
     cache_parser.set_defaults(func=_cmd_cache)
 
@@ -970,8 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_parser.add_argument(
         "target", nargs="?", default=None, metavar="SPEC",
-        help="store to serve: a path (fs store rooted there), a backend "
-        "name, or a backend://path URL (default: REPRO_STORE or fs)",
+        help="store to serve: a path (fs store rooted there), fs, or an "
+        "fs://PATH URL (default: REPRO_STORE or fs)",
     )
     store_parser.add_argument(
         "--host", default="127.0.0.1", metavar="HOST",

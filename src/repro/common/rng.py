@@ -49,8 +49,8 @@ def backoff_delay(
     retry site backs off identically on every run and machine, while
     distinct sites (different labels) never synchronize.  A
     non-positive ``base`` disables backoff entirely.  Shared by the
-    scheduler's retry rounds, the sqlite busy-retry loop, and the
-    single-flight lease polling.
+    scheduler's retry rounds, the single-flight lease polling, and the
+    net store client's request retries.
     """
     if base <= 0:
         return 0.0

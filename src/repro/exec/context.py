@@ -13,8 +13,8 @@ examples, notebooks) inherit them too:
 * ``REPRO_JOBS`` — default worker count (``1`` = serial).
 * ``REPRO_CACHE_DIR`` — result-store location (see
   :mod:`repro.exec.stores`).
-* ``REPRO_STORE`` — store backend (``fs``/``sqlite`` or a
-  ``backend://path`` URL).
+* ``REPRO_STORE`` — store backend (``fs``, ``fs://PATH`` or
+  ``net://HOST:PORT``).
 
 Run-wide totals are accumulated across batches so the CLI can report
 completed/cached/failed counts per experiment.
@@ -63,8 +63,8 @@ class ExecConfig:
     #: When set, every executed job runs under cProfile and dumps its
     #: stats here (``run --profile``); empty/None disables profiling.
     profile_dir: Optional[str] = None
-    #: Store backend spec (``fs``/``sqlite`` or a ``backend://path``
-    #: URL); ``None`` defers to ``$REPRO_STORE``, defaulting to ``fs``.
+    #: Store backend spec (``fs``, ``fs://PATH`` or ``net://HOST:PORT``);
+    #: ``None`` defers to ``$REPRO_STORE``, defaulting to ``fs``.
     store: Optional[str] = None
 
 

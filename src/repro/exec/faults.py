@@ -10,15 +10,16 @@ This module provides that as two wrappers:
   process), a **hang** (a sleep long enough to trip the scheduler's
   per-job timeout), or a **flake** (a transient raised exception).
 * :class:`FaultyStore` wraps any
-  :class:`~repro.exec.stores.base.AbstractResultStore` and injects
-  store-level faults through the backend-portable chaos hooks:
-  ``corrupt`` damages freshly written entries (truncated bytes or a
-  plausible-but-invalid payload, exercising read-validate-quarantine),
-  ``store.put.crash`` fails a write the way a crashed writer would,
-  ``store.get.corrupt`` damages an entry just before it is read,
+  :class:`~repro.exec.stores.base.AbstractResultStore` and injects every
+  store-level fault itself, through the wrapped store's public API:
+  ``corrupt`` writes a plausible-but-invalid copy of a fresh result
+  (exercising read-validate-quarantine), ``store.put.crash`` fails a
+  write the way a crashed writer would, ``store.get.corrupt`` overwrites
+  an entry with an invalid copy just before it is read, and
   ``store.lease.orphan`` drops a lease release (stranding the lease for
-  stale takeover), and ``sqlite.busy`` forces a ``database is locked``
-  error on the sqlite backend's next operation.
+  stale takeover).  Only the ``net.*`` transport faults need a seam in
+  a backend (:meth:`~repro.exec.stores.net.NetResultStore.inject_net_fault`),
+  because they fire below the net client's retry loop.
 
 Whether a given job is faulted is a pure function of the plan's seed and
 the job's content key (via :mod:`repro.common.rng`), so fault placement
@@ -44,10 +45,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.common.errors import ExecError
+from repro.common.errors import ExecError, StoreError
 from repro.common.rng import make_rng
 from repro.exec.job import SimJob, execute_job
-from repro.exec.store import default_store_dir
+from repro.exec.stores import default_store_dir
+from repro.exec.stores.net import NET_FAULT_KINDS
+from repro.sim.engine import SimResult
 
 #: Environment variable holding the fault spec (``kind=rate,...``).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -63,19 +66,10 @@ STORE_FAULT_KINDS = (
     "store.put.crash",
     "store.get.corrupt",
     "store.lease.orphan",
-    "sqlite.busy",
 )
 
-#: Injectable network-store fault kinds (client-side, armed through
-#: :meth:`repro.exec.stores.net.NetResultStore.inject_net_fault`).
-NET_FAULT_KINDS = (
-    "net.conn.refused",
-    "net.read.timeout",
-    "net.reply.corrupt",
-    "net.server.crash",
-)
-
-#: Every injectable fault kind.
+#: Every injectable fault kind (the ``net.*`` kinds are client-side,
+#: armed through :meth:`repro.exec.stores.net.NetResultStore.inject_net_fault`).
 FAULT_KINDS = EXECUTOR_FAULT_KINDS + STORE_FAULT_KINDS + NET_FAULT_KINDS
 
 
@@ -104,7 +98,6 @@ class FaultPlan:
     store_put_crash: float = 0.0
     store_get_corrupt: float = 0.0
     store_lease_orphan: float = 0.0
-    sqlite_busy: float = 0.0
     net_conn_refused: float = 0.0
     net_read_timeout: float = 0.0
     net_reply_corrupt: float = 0.0
@@ -234,27 +227,35 @@ class FaultyExecute:
         return self.execute(job)
 
 
+def _violating(result: SimResult) -> SimResult:
+    """Copy of ``result`` whose first core breaks the engine invariants.
+
+    ``llc_misses = llc_accesses + 1`` is well-formed on every codec and
+    over the wire, so only read-side validation can catch it.
+    """
+    first = result.cores[0]
+    broken = replace(first, llc_misses=first.llc_accesses + 1)
+    return replace(result, cores=[broken, *result.cores[1:]])
+
+
 class FaultyStore:
     """Result-store proxy that injects plan faults into store operations.
 
-    Every method delegates to the wrapped store.  Faulted operations use
-    the backend-portable chaos hooks on
-    :class:`~repro.exec.stores.base.AbstractResultStore`, so the same
-    plan works against the filesystem and sqlite backends alike:
+    Every method delegates to the wrapped store, and every store fault is
+    made here from the store's own public API — ``put`` does not
+    validate but every read does — so one plan works the same on the
+    filesystem store and over the wire:
 
-    * ``corrupt`` — after a successful ``put``, damage the entry in
-      place (alternating torn bytes / invariant-violating JSON by key).
+    * ``corrupt`` — ``put`` an invariant-violating copy of the result.
       Read-side validation must quarantine it, never serve it.
     * ``store.put.crash`` — fail the ``put`` the way a crashed writer
-      would (raises ``StoreError``; the scheduler degrades, the batch
-      still completes).
-    * ``store.get.corrupt`` — damage an existing entry just before it
-      is read, exercising quarantine on the read path.
+      would: raise ``StoreError`` with nothing published (the scheduler
+      degrades, the batch still completes).
+    * ``store.get.corrupt`` — overwrite an existing entry with an
+      invalid copy just before it is read, exercising quarantine on the
+      read path.
     * ``store.lease.orphan`` — swallow a lease release, stranding the
-      lease on disk for another process's stale takeover.
-    * ``sqlite.busy`` — arm the sqlite backend's injected
-      ``database is locked`` error before the next operation (no-op on
-      backends without :meth:`inject_busy_once`).
+      lease for another process's stale takeover.
     * ``net.conn.refused`` / ``net.read.timeout`` / ``net.reply.corrupt``
       — arm one transport failure on the net backend's next request;
       the client reconnects/retries and the operation still succeeds.
@@ -274,16 +275,6 @@ class FaultyStore:
     def __contains__(self, job: SimJob) -> bool:
         return job in self._store
 
-    def _damage_mode(self, key: str) -> str:
-        """Alternate damage flavors deterministically by key."""
-        return "truncate" if int(key[0], 16) % 2 == 0 else "semantic"
-
-    def _arm_busy(self, key: str) -> None:
-        """Fire ``sqlite.busy`` if planned and the backend supports it."""
-        inject = getattr(self._store, "inject_busy_once", None)
-        if inject is not None and self._plan.fire("sqlite.busy", key):
-            inject()
-
     def _arm_net(self, key: str) -> None:
         """Fire planned ``net.*`` faults if the backend supports them."""
         inject = getattr(self._store, "inject_net_fault", None)
@@ -296,7 +287,6 @@ class FaultyStore:
     def get(self, job: SimJob):
         """Read via the wrapped store, damaging planned entries first."""
         key = job.key()
-        self._arm_busy(key)
         self._arm_net(key)
         if (
             self._plan.selected("store.get.corrupt", key)
@@ -304,25 +294,21 @@ class FaultyStore:
         ):
             # Only burn the fire-once marker when there is an entry to
             # damage, so a cold get doesn't waste the fault.
-            try:
-                if self._store.corrupt_entry(key, self._damage_mode(key)):
-                    self._plan.fire("store.get.corrupt", key)
-            except OSError:
-                pass
+            stored = self._store.get(job)
+            if stored is not None:
+                self._store.put(job, _violating(stored))
+                self._plan.fire("store.get.corrupt", key)
         return self._store.get(job)
 
     def put(self, job: SimJob, result):
         """Persist via the wrapped store, injecting planned write faults."""
         key = job.key()
-        self._arm_busy(key)
         self._arm_net(key)
         if self._plan.fire("store.put.crash", key):
-            # Raises StoreError after leaving crash debris behind.
-            return self._store.simulate_crash_mid_put(job, result)
-        locator = self._store.put(job, result)
+            raise StoreError(f"injected store crash mid-put for {key[:12]}")
         if self._plan.fire("corrupt", key):
-            self._store.corrupt_entry(key, self._damage_mode(key))
-        return locator
+            result = _violating(result)
+        return self._store.put(job, result)
 
     def release_lease(self, lease) -> bool:
         """Release via the wrapped store, orphaning planned leases."""

@@ -6,9 +6,10 @@ specs and returns their results in submission order.  The pipeline:
 1. **Dedup** — identical jobs (same content key) are simulated once and
    fanned back out to every occurrence; experiment grids repeat alone
    runs heavily, so this alone saves real work.
-2. **Cache lookup** — if a :class:`~repro.exec.store.ResultStore` is
-   attached, every unique job is first looked up by content hash (the
-   store validates and quarantines bad entries on read).
+2. **Cache lookup** — if a result store
+   (:class:`~repro.exec.stores.base.AbstractResultStore`) is attached,
+   every unique job is first looked up by content hash (the store
+   validates and quarantines bad entries on read).
 3. **Execute** — misses run through a ``ProcessPoolExecutor`` when more
    than one worker is configured (and there is more than one miss),
    else inline.  Each miss gets ``1 + retries`` attempts; a worker
@@ -45,7 +46,7 @@ import traceback as traceback_module
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecError, RunInterrupted, StoreError
@@ -83,8 +84,6 @@ class BatchReport:
     lease_contentions: int = 0
     #: Leases acquired by displacing a stale (crashed/hung) holder.
     stale_takeovers: int = 0
-    #: SQLITE_BUSY retries absorbed by the store during this batch.
-    busy_retries: int = 0
     #: Net-store connections re-established after a drop during this batch.
     reconnects: int = 0
     #: Net-store requests resent (idempotently) after a transport failure.
@@ -110,8 +109,6 @@ class BatchReport:
             line += f", {self.lease_contentions} lease waits"
         if self.stale_takeovers:
             line += f", {self.stale_takeovers} lease takeovers"
-        if self.busy_retries:
-            line += f", {self.busy_retries} busy retries"
         if self.reconnects:
             line += f", {self.reconnects} reconnects"
         if self.retried_requests:
@@ -126,50 +123,20 @@ class BatchReport:
         Empty for a healthy batch, so journals written before the
         pluggable-store work render identically.
         """
-        fields = {
+        counters = {
             "degraded": self.degraded,
             "lease_contentions": self.lease_contentions,
             "stale_takeovers": self.stale_takeovers,
-            "busy_retries": self.busy_retries,
             "reconnects": self.reconnects,
             "retried_requests": self.retried_requests,
         }
-        return {name: value for name, value in fields.items() if value}
+        return {name: value for name, value in counters.items() if value}
 
     def merge(self, other: "BatchReport") -> None:
         """Accumulate another report into this one (for run-wide totals)."""
-        self.total += other.total
-        self.completed += other.completed
-        self.cached += other.cached
-        self.failed += other.failed
-        self.retried += other.retried
-        self.interrupted += other.interrupted
-        self.wall_time += other.wall_time
-        self.degraded += other.degraded
-        self.lease_contentions += other.lease_contentions
-        self.stale_takeovers += other.stale_takeovers
-        self.busy_retries += other.busy_retries
-        self.reconnects += other.reconnects
-        self.retried_requests += other.retried_requests
-
-
-def _report_fields(report: "BatchReport") -> Dict[str, object]:
-    """Flatten a report into scalar fields for a trace event."""
-    return {
-        "total": report.total,
-        "completed": report.completed,
-        "cached": report.cached,
-        "failed": report.failed,
-        "retried": report.retried,
-        "interrupted": report.interrupted,
-        "wall_time": report.wall_time,
-        "degraded": report.degraded,
-        "lease_contentions": report.lease_contentions,
-        "stale_takeovers": report.stale_takeovers,
-        "busy_retries": report.busy_retries,
-        "reconnects": report.reconnects,
-        "retried_requests": report.retried_requests,
-    }
+        for spec in fields(self):
+            total = getattr(self, spec.name) + getattr(other, spec.name)
+            setattr(self, spec.name, total)
 
 
 def _format_error(exc: BaseException) -> str:
@@ -358,9 +325,8 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Guarded store access and single-flight leases
     #
-    # Every store interaction is wrapped: a store that turns read-only,
-    # busy beyond retries, or unavailable mid-run must never abort the
-    # batch.  The failure is counted (``report.degraded``), surfaced in
+    # Every store interaction is wrapped: a store that turns read-only
+    # or becomes unreachable mid-run must never abort the batch.  The failure is counted (``report.degraded``), surfaced in
     # the trace, and the scheduler computes without the cache.
     # ------------------------------------------------------------------
 
@@ -594,7 +560,6 @@ class Scheduler:
 
         installed = self._install_signal_handlers()
         store_counters = getattr(self.store, "counters", None)
-        busy_before = store_counters.busy_retries if store_counters else 0
         reconnects_before = store_counters.reconnects if store_counters else 0
         resent_before = (
             store_counters.retried_requests if store_counters else 0
@@ -706,7 +671,6 @@ class Scheduler:
             self._release_all_leases()
             self._restore_signal_handlers(installed)
         if store_counters is not None:
-            report.busy_retries = store_counters.busy_retries - busy_before
             report.reconnects = store_counters.reconnects - reconnects_before
             report.retried_requests = (
                 store_counters.retried_requests - resent_before
@@ -724,7 +688,7 @@ class Scheduler:
             if self._tracer is not None:
                 self._tracer.event(
                     "exec.batch_end", status="interrupted",
-                    **_report_fields(report),
+                    **asdict(report),
                 )
             if self.progress is not None:
                 self.progress({"event": "interrupted", "report": report})
@@ -739,7 +703,7 @@ class Scheduler:
         self.last_report = report
         if self._tracer is not None:
             self._tracer.event(
-                "exec.batch_end", status="ok", **_report_fields(report)
+                "exec.batch_end", status="ok", **asdict(report)
             )
         if self.progress is not None:
             self.progress({"event": "batch", "report": report})

@@ -2,8 +2,8 @@
 
 A result store maps a :class:`~repro.exec.job.SimJob`'s content hash to
 a serialized :class:`~repro.sim.engine.SimResult`.  Backends differ in
-*where* the bytes live (a directory of JSON files, a sqlite database),
-but they all honour the same contract:
+*where* the bytes live (a local directory of entry files, or a server
+reached over TCP), but they all honour the same contract:
 
 * **Validated reads** — :meth:`AbstractResultStore.get` never serves a
   corrupted or invariant-violating entry; bad entries are quarantined
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.common.errors import ReproError, StoreError
+from repro.common.errors import ReproError
 from repro.exec.job import ENGINE_VERSION, SimJob
 from repro.exec.validate import validate_result
 from repro.sim.engine import SimResult
@@ -44,8 +44,8 @@ from repro.sim.engine import SimResult
 #: Environment variable overriding the store location.
 STORE_ENV_VAR = "REPRO_CACHE_DIR"
 
-#: Environment variable selecting the store backend (``fs``/``sqlite``
-#: or a ``from_url`` spec).
+#: Environment variable selecting the store backend (``fs`` or a
+#: ``from_url`` spec).
 STORE_BACKEND_ENV_VAR = "REPRO_STORE"
 
 #: Default time-to-live of a lease heartbeat: a lease whose heartbeat is
@@ -121,9 +121,8 @@ def entry_logical_size(payload: Union[str, bytes]) -> int:
 def inflate_entry(payload: Union[str, bytes]) -> bytes:
     """Raw JSON bytes of an encoded entry, whichever codec wrote it.
 
-    Raises :class:`zlib.error` on a torn v2 pack — chaos hooks use this
-    to rewrite entries; validated reads go through :func:`decode_entry`
-    which maps that to a quarantine reason instead.
+    Raises :class:`zlib.error` on a torn v2 pack; :func:`decode_entry`
+    maps that to a quarantine reason.
     """
     if isinstance(payload, str):
         return payload.encode("utf-8")
@@ -145,13 +144,12 @@ def decode_entry(
     invariants.  Every backend funnels every read through this, so
     "what counts as corrupt" can never diverge between them.
     """
-    if isinstance(text, bytes) and text.startswith(ENTRY_MAGIC):
-        try:
-            text = zlib.decompress(text[ENTRY_HEADER_LEN:])
-        except zlib.error:
-            return None, "unreadable or corrupt JSON (torn v2 pack)"
     try:
-        payload = json.loads(text)
+        raw = inflate_entry(text)
+    except zlib.error:
+        return None, "unreadable or corrupt JSON (torn v2 pack)"
+    try:
+        payload = json.loads(raw)
     except (ValueError, UnicodeDecodeError):
         return None, "unreadable or corrupt JSON"
     try:
@@ -201,14 +199,12 @@ class StoreCounters:
 
     lease_contentions: int = 0
     stale_takeovers: int = 0
-    busy_retries: int = 0
     reconnects: int = 0
     retried_requests: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (sorted rendering is the caller's job)."""
         return {
-            "busy_retries": self.busy_retries,
             "lease_contentions": self.lease_contentions,
             "reconnects": self.reconnects,
             "retried_requests": self.retried_requests,
@@ -247,7 +243,7 @@ class StoreStats:
 
 
 class AbstractResultStore(abc.ABC):
-    """One abstract API, many backends (filesystem, sqlite, ...).
+    """One abstract API, two backends (filesystem and net).
 
     Concrete stores implement the durable operations; membership,
     counters, and the health rendering are shared here.  Every method
@@ -256,7 +252,7 @@ class AbstractResultStore(abc.ABC):
     scheduler degrades to compute-without-cache rather than aborting.
     """
 
-    #: Short backend name (``fs``, ``sqlite``) used by stats and the CLI.
+    #: Short backend name (``fs``, ``net``) used by stats and the CLI.
     backend: str = "abstract"
 
     def __init__(self) -> None:
@@ -278,7 +274,8 @@ class AbstractResultStore(abc.ABC):
         """Persist ``result`` under ``job``'s key, atomically and durably.
 
         Returns a backend-specific locator (a :class:`~pathlib.Path` for
-        the filesystem store, the key for sqlite).
+        the filesystem store, the key for net).  Writes are not
+        validated — every read is.
         """
 
     def __contains__(self, job: SimJob) -> bool:
@@ -339,31 +336,6 @@ class AbstractResultStore(abc.ABC):
     @abc.abstractmethod
     def active_leases(self) -> List[Tuple[str, str, bool]]:
         """Current ``(key, owner, is_stale)`` lease census."""
-
-    # -- chaos hooks ---------------------------------------------------
-
-    @abc.abstractmethod
-    def corrupt_entry(self, key: str, mode: str = "truncate") -> bool:
-        """Damage a stored entry in place (chaos testing only).
-
-        ``mode`` is ``"truncate"`` (torn bytes) or ``"semantic"``
-        (well-formed JSON whose counters violate the engine invariants).
-        Returns whether an entry existed to damage.  Both damage modes
-        must be caught by read-side validation and quarantined.
-        """
-
-    def simulate_crash_mid_put(self, job: SimJob, result: SimResult) -> None:
-        """Fail a ``put`` the way a crashed writer would (chaos testing).
-
-        The default raises :class:`StoreError` without publishing
-        anything; the filesystem backend additionally strands a torn
-        temp file, the debris a real mid-write crash leaves for
-        ``prune`` to sweep.
-        """
-        raise StoreError(
-            f"injected store crash mid-put for {job.key()[:12]} "
-            f"({self.backend} backend)"
-        )
 
     # -- health rendering ----------------------------------------------
 

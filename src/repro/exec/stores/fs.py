@@ -21,8 +21,11 @@ Durability and concurrency:
   concurrent ``prune`` mid-read is a clean miss, never an exception.
 * **Leases** are ``O_EXCL``-created files under ``<cache dir>/leases/``
   carrying owner/PID/heartbeat metadata; a heartbeat older than the
-  lease TTL marks it stale and any process may take it over.
-* **Maintenance** (``prune``/``clear``) serializes on an advisory
+  lease TTL marks it stale and any process may take it over.  Every
+  read-then-modify of an existing lease file (takeover, renew, release,
+  sweep) holds an advisory ``flock``, so no process ever deletes or
+  overwrites a lease another process took over after its read.
+* **Maintenance** (``prune``/``clear``) serializes on a second advisory
   ``flock`` so two maintainers never interleave destructively.
 """
 
@@ -54,7 +57,6 @@ from repro.exec.stores.base import (
     default_store_dir,
     encode_entry,
     entry_logical_size,
-    inflate_entry,
     lease_owner_id,
     stale_after,
 )
@@ -65,6 +67,12 @@ QUARANTINE_DIR_NAME = "quarantine"
 
 #: Subdirectory (of the store base) holding lease files.
 LEASES_DIR_NAME = "leases"
+
+#: Lock file (in the store base) serializing lease read-then-modify steps.
+LEASE_LOCK_NAME = ".leases.lock"
+
+#: Lock file (in the store base) serializing ``prune``/``clear``.
+MAINTENANCE_LOCK_NAME = ".maintenance.lock"
 
 #: Temp files older than this are considered leaked by a crashed writer
 #: and swept by :meth:`FileResultStore.prune`.
@@ -83,6 +91,13 @@ def _fsync_path(path: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def _lease_is_stale(record: dict, default_ttl: float = DEFAULT_LEASE_TTL) -> bool:
+    """Whether a lease record's heartbeat is older than its own TTL."""
+    heartbeat = float(record.get("heartbeat") or 0.0)
+    ttl = float(record.get("ttl") or default_ttl)
+    return stale_after(heartbeat, ttl)
 
 
 class FileResultStore(AbstractResultStore):
@@ -252,6 +267,51 @@ class FileResultStore(AbstractResultStore):
         os.replace(tmp, path)
         return True
 
+    @contextmanager
+    def _flock(self, lock_path: Path):
+        """Hold an exclusive advisory cross-process lock on ``lock_path``.
+
+        Uses ``flock`` (auto-released on process death, so a crashed
+        holder can never deadlock the store); degrades to unlocked
+        operation where ``fcntl`` or the lock file are unavailable.
+        """
+        handle = None
+        try:
+            self.base.mkdir(parents=True, exist_ok=True)
+            handle = open(lock_path, "a+")
+            if fcntl is not None:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        except OSError:
+            if handle is not None:
+                handle.close()
+            handle = None
+        try:
+            yield
+        finally:
+            if handle is not None:
+                try:
+                    if fcntl is not None:
+                        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                finally:
+                    handle.close()
+
+    def _unlink_if_stale(self, path: Path) -> bool:
+        """Unlink the lease file at ``path`` if it is stale; True if unlinked.
+
+        The re-read, the staleness check and the unlink happen under the
+        lease lock: a contender that took the lease over after our last
+        read left a fresh record, which this re-read sees and keeps.
+        """
+        with self._flock(self.base / LEASE_LOCK_NAME):
+            record = self._read_lease(path)
+            if record is None or not _lease_is_stale(record):
+                return False
+            try:
+                path.unlink()
+            except OSError:
+                return False
+            return True
+
     def acquire_lease(
         self,
         key: str,
@@ -288,48 +348,42 @@ class FileResultStore(AbstractResultStore):
             if existing is None:
                 # Unreadable or vanished between create and read; retry.
                 continue
-            heartbeat = float(existing.get("heartbeat") or 0.0)
-            holder_ttl = float(existing.get("ttl") or ttl)
-            if stale_after(heartbeat, holder_ttl):
-                # Crashed/hung holder: displace and re-contend.  Only one
-                # of several racers wins the O_EXCL create that follows.
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                if not displaced:
-                    displaced = True
-                    self.counters.stale_takeovers += 1
-                continue
-            self.counters.lease_contentions += 1
-            return None
+            if not _lease_is_stale(existing, ttl):
+                break
+            # Crashed/hung holder: displace and re-contend.  Only one of
+            # several racers wins the O_EXCL create that follows.
+            if self._unlink_if_stale(path) and not displaced:
+                displaced = True
+                self.counters.stale_takeovers += 1
         self.counters.lease_contentions += 1
         return None
 
     def renew_lease(self, lease: Lease) -> bool:
         """Refresh the heartbeat of a lease we hold; False if displaced."""
         path = self._lease_path(lease.key)
-        existing = self._read_lease(path)
-        if existing is None or existing.get("owner") != lease.owner:
-            return False
-        existing["heartbeat"] = time.time()
-        try:
-            self._write_lease_file(path, existing, exclusive=False)
-        except OSError:
-            return False
-        return True
+        with self._flock(self.base / LEASE_LOCK_NAME):
+            existing = self._read_lease(path)
+            if existing is None or existing.get("owner") != lease.owner:
+                return False
+            existing["heartbeat"] = time.time()
+            try:
+                self._write_lease_file(path, existing, exclusive=False)
+            except OSError:
+                return False
+            return True
 
     def release_lease(self, lease: Lease) -> bool:
         """Drop a lease we hold; False if it expired or was taken over."""
         path = self._lease_path(lease.key)
-        existing = self._read_lease(path)
-        if existing is None or existing.get("owner") != lease.owner:
-            return False
-        try:
-            path.unlink()
-        except OSError:
-            return False
-        return True
+        with self._flock(self.base / LEASE_LOCK_NAME):
+            existing = self._read_lease(path)
+            if existing is None or existing.get("owner") != lease.owner:
+                return False
+            try:
+                path.unlink()
+            except OSError:
+                return False
+            return True
 
     def active_leases(self) -> List[Tuple[str, str, bool]]:
         """Current ``(key, owner, is_stale)`` lease census."""
@@ -340,86 +394,18 @@ class FileResultStore(AbstractResultStore):
             record = self._read_lease(path)
             if record is None:
                 continue
-            heartbeat = float(record.get("heartbeat") or 0.0)
-            ttl = float(record.get("ttl") or DEFAULT_LEASE_TTL)
             census.append(
                 (
                     str(record.get("key") or path.stem),
                     str(record.get("owner") or "?"),
-                    stale_after(heartbeat, ttl),
+                    _lease_is_stale(record),
                 )
             )
         return census
 
     # ------------------------------------------------------------------
-    # Chaos hooks
-    # ------------------------------------------------------------------
-
-    def corrupt_entry(self, key: str, mode: str = "truncate") -> bool:
-        """Damage a stored entry in place (chaos testing only).
-
-        ``semantic`` damage decodes either codec version, skews the
-        counters, and writes the entry back as well-formed v1 JSON so
-        only read-side *validation* — never codec framing — catches it.
-        """
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return False
-        if mode == "semantic":
-            payload = json.loads(inflate_entry(data))
-            core = payload["result"]["cores"][0]
-            core["llc_misses"] = int(core["llc_accesses"]) + 1
-            path.write_text(json.dumps(payload, sort_keys=True),
-                            encoding="utf-8")
-        else:
-            path.write_bytes(data[: max(1, len(data) // 2)])
-        return True
-
-    def simulate_crash_mid_put(self, job: SimJob, result: SimResult) -> None:
-        """Strand a torn temp file and fail, like a real mid-write crash."""
-        path = self._path(job.key())
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = encode_entry(job, result)
-            tmp.write_bytes(payload[: len(payload) // 2])
-        except OSError:
-            pass
-        raise StoreError(
-            f"injected store crash mid-put for {job.key()[:12]} (fs backend)"
-        )
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-
-    @contextmanager
-    def _maintenance_lock(self):
-        """Advisory cross-process lock serializing prune/clear.
-
-        Uses ``flock`` (auto-released on process death, so a crashed
-        maintainer can never deadlock the store); degrades to unlocked
-        operation where ``fcntl`` or the lock file are unavailable.
-        """
-        handle = None
-        try:
-            self.base.mkdir(parents=True, exist_ok=True)
-            handle = open(self.base / ".maintenance.lock", "a+")
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        except OSError:
-            handle = None
-        try:
-            yield
-        finally:
-            if handle is not None:
-                try:
-                    if fcntl is not None:
-                        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-                finally:
-                    handle.close()
 
     def stats(self) -> StoreStats:
         """Entry count and byte footprint of the current version's store.
@@ -465,7 +451,7 @@ class FileResultStore(AbstractResultStore):
         removed = 0
         if not self.base.is_dir():
             return removed
-        with self._maintenance_lock():
+        with self._flock(self.base / MAINTENANCE_LOCK_NAME):
             for path in self.base.glob("v*/*/*.json"):
                 try:
                     path.unlink()
@@ -503,7 +489,7 @@ class FileResultStore(AbstractResultStore):
         touched.  Serialized against concurrent maintainers.
         """
         removed = 0
-        with self._maintenance_lock():
+        with self._flock(self.base / MAINTENANCE_LOCK_NAME):
             if self.base.is_dir():
                 for version_dir in self.base.glob("v*"):
                     if version_dir.name == self.root.name:
@@ -563,21 +549,10 @@ class FileResultStore(AbstractResultStore):
         """Unlink lease files whose heartbeats went stale (orphans)."""
         if not self.leases_dir.is_dir():
             return 0
-        swept = 0
-        for path in list(self.leases_dir.glob("*.lease")):
-            record = self._read_lease(path)
-            if record is None:
-                continue
-            heartbeat = float(record.get("heartbeat") or 0.0)
-            ttl = float(record.get("ttl") or DEFAULT_LEASE_TTL)
-            if not stale_after(heartbeat, ttl):
-                continue
-            try:
-                path.unlink()
-                swept += 1
-            except OSError:
-                continue
-        return swept
+        return sum(
+            self._unlink_if_stale(path)
+            for path in list(self.leases_dir.glob("*.lease"))
+        )
 
     def _sweep_empty_dirs(self) -> None:
         if not self.base.is_dir():

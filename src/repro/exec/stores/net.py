@@ -2,8 +2,7 @@
 
 A fleet of machines shares one store by pointing their schedulers at a
 ``net://host:port`` URL; a single ``nucache-repro store serve <spec>``
-process owns the durable medium (any registered backend — fs or sqlite —
-resolved via :func:`repro.exec.stores.from_url`) and arbitrates leases,
+process owns the durable medium (an ``fs`` store) and arbitrates leases,
 which makes single-flight *fleet-wide*: of N schedulers on N machines
 racing a cold job, exactly one computes it.
 
@@ -24,7 +23,7 @@ request/response pairs::
                                               -> {"ok": true, "lease": {...}|null}
 
 plus ``stats``, ``clear``, ``prune``, ``quarantined``, ``lease.renew``,
-``lease.release``, ``leases``, ``corrupt``, and ``ping``.  Server-side
+``lease.release``, ``leases``, and ``ping``.  Server-side
 failures come back as ``{"ok": false, "error": "..."}`` and surface as
 :class:`~repro.common.errors.StoreError` on the client — never retried,
 because the server *did* answer.
@@ -54,7 +53,8 @@ Robustness model
   mid-run yields a complete, byte-identical batch.
 
 Deterministic chaos (``net.*`` fault kinds in :mod:`repro.exec.faults`)
-is injected client-side via :meth:`NetResultStore.inject_net_fault`.
+is injected client-side via :meth:`NetResultStore.inject_net_fault`, the
+one seam below the retry loop that a store proxy cannot reach.
 """
 
 from __future__ import annotations
@@ -243,8 +243,7 @@ class StoreServer:
 
     One instance owns the backing store; worker threads handle
     connections but every backing-store call is serialized behind one
-    lock, so the backend needs no thread safety of its own (this is what
-    makes a sqlite backing safe to serve).  ``close()`` drains the
+    lock, so the backend needs no thread safety of its own.  ``close()`` drains the
     in-flight request, closes client connections, and releases every
     held lease so an interrupted server never leaves the fleet blocked.
     """
@@ -418,14 +417,6 @@ class StoreServer:
                 "leases": [[key, owner, stale]
                            for key, owner, stale in backing.active_leases()],
             }
-        if op == "corrupt":
-            return {
-                "ok": True,
-                "damaged": backing.corrupt_entry(
-                    str(request["key"]),
-                    mode=str(request.get("mode") or "truncate"),
-                ),
-            }
         return {"ok": False, "error": f"unknown op {op!r}"}
 
 
@@ -478,7 +469,7 @@ class NetResultStore(AbstractResultStore):
         self._injected: Dict[str, int] = {}
         self._server_dead = False
 
-    # -- chaos hooks ---------------------------------------------------
+    # -- fault seam (below the retry loop) ----------------------------
 
     def inject_net_fault(self, kind: str, times: int = 1) -> None:
         """Arm ``times`` firings of a ``net.*`` fault kind (chaos only).
@@ -717,7 +708,7 @@ class NetResultStore(AbstractResultStore):
 
         The client's identity travels with the request, so the lease the
         server records is owned by *this* process — contention and
-        stale-takeover semantics match the local backends exactly, but
+        stale-takeover semantics match the fs backend exactly, but
         they now arbitrate across every machine talking to the server.
         """
         owner = owner if owner is not None else lease_owner_id()
@@ -768,12 +759,3 @@ class NetResultStore(AbstractResultStore):
             (str(key), str(owner), bool(stale))
             for key, owner, stale in reply.get("leases") or []
         ]
-
-    # -- chaos hooks ---------------------------------------------------
-
-    def corrupt_entry(self, key: str, mode: str = "truncate") -> bool:
-        """Damage a stored entry on the server (chaos testing only)."""
-        reply = self._request(
-            "corrupt", {"key": key, "mode": mode}, mutating=True
-        )
-        return bool(reply.get("damaged"))

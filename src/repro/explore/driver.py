@@ -39,7 +39,7 @@ from repro.common.rng import DEFAULT_SEED
 from repro.exec import context as exec_context
 from repro.exec import journal as run_journal
 from repro.exec.journal import RunJournal
-from repro.exec.store import default_store_dir
+from repro.exec.stores import default_store_dir
 from repro.experiments.base import scaled_accesses
 from repro.explore.evaluate import Evaluator, ProbeResult, Study, get_objective
 from repro.explore.report import build_report, write_report

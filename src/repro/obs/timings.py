@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.exec.store import default_store_dir
+from repro.exec.stores import default_store_dir
 
 #: Subdirectory of the store base holding per-run trace directories.
 TRACES_DIR_NAME = "traces"

@@ -112,7 +112,7 @@ class TestRunCheck:
 
     def test_forced_violation_produces_exactly_one_failure(self, tmp_path,
                                                            monkeypatch):
-        from repro.exec.store import STORE_ENV_VAR
+        from repro.exec.stores import STORE_ENV_VAR
 
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path))
         lines = []

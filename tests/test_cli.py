@@ -165,7 +165,7 @@ class TestCheckSubcommand:
         assert "ok" in captured.err  # per-case progress goes to stderr
 
     def test_forced_violation_round_trips(self, tmp_path, monkeypatch, capsys):
-        from repro.exec.store import STORE_ENV_VAR
+        from repro.exec.stores import STORE_ENV_VAR
 
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path))
         assert main(["check", "--quick", "--policies", "nucache",

@@ -9,7 +9,7 @@ import pytest
 from repro.common.errors import ExecError
 from repro.exec import (
     ENGINE_VERSION,
-    ResultStore,
+    FileResultStore,
     Scheduler,
     SimJob,
     execute_job,
@@ -32,7 +32,7 @@ def _fresh_exec_context():
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "store")
+    return FileResultStore(tmp_path / "store")
 
 
 # ----------------------------------------------------------------------

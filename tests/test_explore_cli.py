@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.exec import context as exec_context
 from repro.exec import journal as run_journal
-from repro.exec.store import STORE_ENV_VAR
+from repro.exec.stores import STORE_ENV_VAR
 
 
 @pytest.fixture(autouse=True)

@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import RunInterrupted
 from repro.exec import context as exec_context
 from repro.exec import journal as run_journal
-from repro.exec.store import STORE_ENV_VAR
+from repro.exec.stores import STORE_ENV_VAR
 from repro.explore import (
     ExploreError,
     ParamSpace,

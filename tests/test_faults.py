@@ -18,8 +18,8 @@ from repro.exec import (
     FaultPlan,
     FaultyExecute,
     FaultyStore,
+    FileResultStore,
     InjectedFault,
-    ResultStore,
     Scheduler,
     SimJob,
     execute_job,
@@ -40,7 +40,7 @@ def _fresh_exec_context():
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "store")
+    return FileResultStore(tmp_path / "store")
 
 
 def _grid():
@@ -69,9 +69,15 @@ class TestFaultPlan:
         assert plan.corrupt == 0.0
         assert plan.active()
 
-    def test_parse_rejects_unknown_kind(self):
+    @pytest.mark.parametrize(
+        "spec", ["segfault=1.0", "sqlite.busy"], ids=["segfault", "sqlite.busy"]
+    )
+    def test_parse_rejects_unknown_kind(self, spec):
+        # A kind of a removed backend is unknown, not silently ignored.
         with pytest.raises(ExecError, match="unknown fault kind"):
-            FaultPlan.parse("segfault=1.0")
+            FaultPlan.parse(spec)
+
+    def test_parse_rejects_bad_rates(self):
         with pytest.raises(ExecError, match="bad fault rate"):
             FaultPlan.parse("flake=lots")
         with pytest.raises(ExecError, match="outside"):
@@ -110,7 +116,7 @@ class TestFaultPlan:
         monkeypatch.delenv(FAULTS_ENV_VAR)
         scheduler = exec_context.get_scheduler()
         assert scheduler.execute is execute_job
-        assert isinstance(scheduler.store, ResultStore)
+        assert isinstance(scheduler.store, FileResultStore)
 
 
 # ----------------------------------------------------------------------

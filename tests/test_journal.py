@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.errors import ExecError, RunInterrupted
 from repro.exec import (
-    ResultStore,
+    FileResultStore,
     RunJournal,
     Scheduler,
     SimJob,
@@ -18,7 +18,7 @@ from repro.exec import (
 )
 from repro.exec import context as exec_context
 from repro.exec import journal as run_journal
-from repro.exec.store import STORE_ENV_VAR
+from repro.exec.stores import STORE_ENV_VAR
 
 ACCESSES = 4_000
 
@@ -162,7 +162,7 @@ class TestRunJournal:
 
 class TestInterrupt:
     def test_sigint_drains_persists_and_raises_resumable(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = FileResultStore(tmp_path / "store")
         batch = _grid()
         fired = []
 
@@ -201,7 +201,7 @@ class TestInterrupt:
         assert signal.getsignal(signal.SIGINT) is before
 
     def test_interrupted_batch_is_journalled(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = FileResultStore(tmp_path / "store")
         journal = RunJournal.create(["adhoc"])
         exec_context.set_journal(journal)
         exec_context.configure(jobs=1)

@@ -248,6 +248,17 @@ class TestFaultKinds:
             client._request("bogus-op")
         assert client.counters.retried_requests == 0
 
+    def test_server_answers_no_chaos_ops(self, live):
+        """No client can damage entries through the server."""
+        _server, client, backing = live
+        job = _grid(1)[0]
+        client.put(job, execute_job(job))
+        with pytest.raises(StoreError, match="unknown op 'corrupt'"):
+            client._request(
+                "corrupt", {"key": job.key(), "mode": "truncate"}, mutating=True
+            )
+        assert backing.get(job) is not None
+
     def test_unknown_fault_kind_rejected(self, live):
         _server, client, _backing = live
         with pytest.raises(ValueError, match="unknown net fault kind"):
@@ -462,11 +473,11 @@ class TestServeCLI:
                 proc.kill()
                 proc.wait()
 
-    def test_serves_sqlite_spec(self, tmp_path):
-        target = f"sqlite://{tmp_path / 'store'}"
+    def test_serves_fs_url_spec(self, tmp_path):
+        target = f"fs://{tmp_path / 'store'}"
         proc, banner, host, port = _spawn_serve(tmp_path, target=target)
         try:
-            assert banner.startswith("serving sqlite store ")
+            assert banner == f"serving fs store {tmp_path / 'store'}"
             client = NetResultStore(f"{host}:{port}", timeout=2.0)
             job = _grid(1)[0]
             client.put(job, execute_job(job))

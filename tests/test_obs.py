@@ -9,7 +9,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.exec import context as exec_context
-from repro.exec.store import STORE_ENV_VAR
+from repro.exec.stores import STORE_ENV_VAR
 from repro.obs.metrics import (
     BUCKET_LAYOUTS,
     MetricsRegistry,

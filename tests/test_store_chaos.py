@@ -22,7 +22,6 @@ from repro.exec.stores import (
     BACKENDS,
     FileResultStore,
     NetResultStore,
-    SqliteResultStore,
     StoreServer,
 )
 
@@ -45,8 +44,8 @@ def store_factory(request, tmp_path):
     """Factory for fresh store handles over one shared medium, per backend.
 
     Chaos tests need several independent handles on the same store (a
-    warmer, the store under test, a rerun).  ``fs``/``sqlite`` hand out
-    stores over one tmpdir; ``net`` hands out TCP clients of one live
+    warmer, the store under test, a rerun).  ``fs`` hands out stores
+    over one tmpdir; ``net`` hands out TCP clients of one live
     fs-backed :class:`StoreServer`.  The factory's ``backend`` attribute
     names the flavor.
     """
@@ -98,8 +97,8 @@ class _DeadStore:
 class _DyingStore:
     """Delegates to a real store until ``budget`` ops, then goes dark.
 
-    Models a store yanked mid-run — NFS mount dropped, disk full, db
-    file deleted — after some operations already succeeded.
+    Models a store yanked mid-run — NFS mount dropped, disk full, server
+    gone — after some operations already succeeded.
     """
 
     def __init__(self, store, budget: int) -> None:
@@ -188,7 +187,7 @@ class TestDegradedMode:
         scheduler.run(_grid(2))
         report = scheduler.last_report
         line = report.describe()
-        for marker in ("degraded", "lease", "busy", "takeover"):
+        for marker in ("degraded", "lease", "takeover"):
             assert marker not in line
         assert report.store_fields() == {}
 
@@ -275,35 +274,14 @@ class TestStoreFaultInjection:
         store.prune(keep=100)  # maintenance sweeps the orphans
         assert store.active_leases() == []
 
-    def test_sqlite_busy_fault_is_retried_and_reported(self, tmp_path):
-        batch = _grid()
-        plan = FaultPlan(sqlite_busy=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(SqliteResultStore(tmp_path / "store"), plan)
-        scheduler = Scheduler(jobs=1, store=store)
-        results = scheduler.run(batch)
-        report = scheduler.last_report
-        assert report.completed == len(batch)
-        assert report.failed == 0
-        assert report.busy_retries >= len(batch)
-        assert "busy" in report.describe()
-        healthy = _healthy_results(batch)
-        assert [r.to_dict() for r in results] == [r.to_dict() for r in healthy]
-
-    def test_sqlite_busy_fault_noop_on_fs_backend(self, tmp_path):
-        plan = FaultPlan(sqlite_busy=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(FileResultStore(tmp_path / "store"), plan)
-        scheduler = Scheduler(jobs=1, store=store)
-        scheduler.run(_grid(2))
-        assert scheduler.last_report.busy_retries == 0
-
     def test_dotted_kinds_parse_from_spec(self):
         plan = FaultPlan.parse(
-            "store.put.crash=0.5,store.get.corrupt,sqlite.busy=0.25"
+            "store.put.crash=0.5,store.get.corrupt,store.lease.orphan=0.25"
         )
         assert plan.store_put_crash == 0.5
         assert plan.store_get_corrupt == 1.0
-        assert plan.sqlite_busy == 0.25
-        assert plan.store_lease_orphan == 0.0
+        assert plan.store_lease_orphan == 0.25
+        assert plan.net_server_crash == 0.0
         assert plan.active()
 
 
@@ -389,11 +367,6 @@ class TestRobustnessCLI:
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out = {}
-
-        def _capture(capsys):
-            assert main(["cache", "stats", "--store", "sqlite"]) == 0
-            return capsys
 
         # Two invocations of an idle store render identically.
         import io
@@ -403,11 +376,11 @@ class TestRobustnessCLI:
         for _ in range(2):
             buffer = io.StringIO()
             with redirect_stdout(buffer):
-                assert main(["cache", "stats", "--store", "sqlite"]) == 0
+                assert main(["cache", "stats", "--store", "fs"]) == 0
             lines.append(buffer.getvalue())
         assert lines[0] == lines[1]
         assert (
-            "robustness [sqlite]: busy_retries=0 lease_contentions=0 "
+            "robustness [fs]: lease_contentions=0 "
             "leases_active=0 leases_stale=0 reconnects=0 "
             "retried_requests=0 stale_takeovers=0" in lines[0]
         )

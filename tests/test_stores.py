@@ -1,12 +1,12 @@
-"""Backend contract tests for the pluggable result store.
+"""Backend contract tests for the result store.
 
 Every test in :class:`TestStoreContract` runs against every backend —
-the filesystem store, the sqlite store, and the networked store (a live
-in-test server on an ephemeral port) must be observably
+the filesystem store and the networked store (a live in-test server on
+an ephemeral port, serving an fs store) must be observably
 interchangeable: same hit/miss behavior, same validation and quarantine
 semantics, same lease protocol, same maintenance operations.  Backend
 mechanics that cannot be expressed portably (fsync ordering, temp-file
-debris, WAL busy retries, reconnect machinery) get their own
+debris, lease-file races, reconnect machinery) get their own
 backend-specific classes below and in ``test_net_store.py``.
 """
 
@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
 
 from repro.common.errors import StoreError
 from repro.exec import SimJob, execute_job
+from repro.exec.faults import FaultPlan, FaultyStore, _violating
 from repro.exec.stores import (
     BACKENDS,
     FileResultStore,
     NetResultStore,
-    SqliteResultStore,
     from_url,
     make_store,
 )
@@ -35,20 +37,19 @@ from repro.exec.stores.net import StoreServer
 ACCESSES = 4_000
 
 
-def _make_store(backend: str, base):
-    return BACKENDS[backend](base)
-
-
 @pytest.fixture(params=sorted(BACKENDS))
 def any_store(request, tmp_path):
-    """One store per registered backend, rooted in a fresh tmpdir.
+    """One store per registered backend over the fs root ``tmp_path/store``.
 
     The ``net`` flavor runs the full client/server stack: a live
-    :class:`StoreServer` (fs-backed) on an ephemeral port, so the shared
-    contract exercises the wire protocol unchanged.
+    :class:`StoreServer` serving that fs root on an ephemeral port, so
+    the shared contract exercises the wire protocol unchanged.  Either
+    way the entry files live under ``tmp_path/store``, where
+    :func:`_tear_entry` can damage them directly.
     """
+    local = FileResultStore(tmp_path / "store")
     if request.param == "net":
-        server = StoreServer(FileResultStore(tmp_path / "store"), port=0)
+        server = StoreServer(local, port=0)
         server.start()
         host, port = server.address
         client = NetResultStore(f"{host}:{port}")
@@ -56,11 +57,24 @@ def any_store(request, tmp_path):
         client.close()
         server.close()
         return
-    yield _make_store(request.param, tmp_path / "store")
+    yield local
 
 
 def _job(seed: int = 1) -> SimJob:
     return SimJob.single("hmmer_like", "lru", ACCESSES, seed=seed)
+
+
+def _put_killed_at_rename(store, job: SimJob, result) -> None:
+    """Forked writer body: SIGKILL itself the moment ``put`` would publish."""
+    os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)
+    store.put(job, result)
+
+
+def _tear_entry(tmp_path, job: SimJob) -> None:
+    """Cut the job's entry file in half, as a torn write would leave it."""
+    path = FileResultStore(tmp_path / "store")._path(job.key())
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
 
 
 # ----------------------------------------------------------------------
@@ -78,40 +92,58 @@ class TestStoreContract:
         assert job in any_store
         assert any_store.get(job) == result
 
-    def test_truncated_entry_quarantined_never_served(self, any_store):
+    def test_truncated_entry_quarantined_never_served(self, any_store, tmp_path):
         job = _job()
         any_store.put(job, execute_job(job))
-        assert any_store.corrupt_entry(job.key(), mode="truncate")
+        _tear_entry(tmp_path, job)
         assert any_store.get(job) is None
         assert any_store.stats().quarantined == 1
         assert any_store.get(job) is None  # stays a miss, not resurrected
 
     def test_semantic_corruption_quarantined(self, any_store):
-        """Parsable JSON with impossible counters must not be served."""
+        """A well-formed entry with impossible counters must not be served.
+
+        ``put`` does not validate, so the invalid copy is stored as is;
+        the read is what must catch it.
+        """
         job = _job()
-        any_store.put(job, execute_job(job))
-        assert any_store.corrupt_entry(job.key(), mode="semantic")
+        any_store.put(job, _violating(execute_job(job)))
         assert any_store.get(job) is None
         assert any_store.stats().quarantined == 1
         assert list(any_store.quarantined_entries())
 
-    def test_corrupt_entry_without_entry_reports_false(self, any_store):
-        assert not any_store.corrupt_entry("0" * 64)
+    def test_corrupt_entry_without_entry_reports_false(self, any_store, tmp_path):
+        """Injected get-corruption of a missing entry neither fires nor writes.
 
-    def test_put_after_quarantine_recovers(self, any_store):
+        The fault stays armed for the first read that has an entry to
+        damage; that read is then quarantined, never served.
+        """
+        job = _job()
+        plan = FaultPlan(store_get_corrupt=1.0, scratch=str(tmp_path / "m"))
+        faulty = FaultyStore(any_store, plan)
+        assert faulty.get(job) is None
+        assert not plan.fired("store.get.corrupt", job.key())
+        assert any_store.stats().entries == 0
+        any_store.put(job, execute_job(job))
+        assert faulty.get(job) is None
+        assert plan.fired("store.get.corrupt", job.key())
+        assert any_store.stats().quarantined == 1
+
+    def test_put_after_quarantine_recovers(self, any_store, tmp_path):
         job = _job()
         result = execute_job(job)
         any_store.put(job, result)
-        any_store.corrupt_entry(job.key())
+        _tear_entry(tmp_path, job)
         assert any_store.get(job) is None
         any_store.put(job, result)
         assert any_store.get(job) == result
         assert any_store.stats().quarantined == 1  # kept for post-mortem
 
-    def test_simulated_crash_mid_put_publishes_nothing(self, any_store):
+    def test_simulated_crash_mid_put_publishes_nothing(self, any_store, tmp_path):
         job = _job()
-        with pytest.raises(StoreError):
-            any_store.simulate_crash_mid_put(job, execute_job(job))
+        plan = FaultPlan(store_put_crash=1.0, scratch=str(tmp_path / "m"))
+        with pytest.raises(StoreError, match="injected store crash"):
+            FaultyStore(any_store, plan).put(job, execute_job(job))
         assert any_store.get(job) is None
         assert any_store.stats().entries == 0
         # The store stays fully usable afterwards.
@@ -132,13 +164,10 @@ class TestStoreContract:
     def test_stale_lease_taken_over(self, any_store, monkeypatch):
         import repro.exec.stores.fs as fs_mod
         import repro.exec.stores.net as net_mod
-        import repro.exec.stores.sqlite as sq_mod
 
         key = _job().key()
         # A foreign process takes the lease, then crashes (no heartbeat).
-        holder_mod = {
-            "fs": fs_mod, "sqlite": sq_mod, "net": net_mod,
-        }[any_store.backend]
+        holder_mod = {"fs": fs_mod, "net": net_mod}[any_store.backend]
         monkeypatch.setattr(holder_mod, "lease_owner_id", lambda: "ghost:999")
         crashed = any_store.acquire_lease(key, ttl=0.05)
         monkeypatch.undo()
@@ -194,7 +223,6 @@ class TestStoreContract:
     def test_health_is_deterministic_and_complete(self, any_store):
         census = any_store.health()
         assert census == {
-            "busy_retries": 0,
             "lease_contentions": 0,
             "leases_active": 0,
             "leases_stale": 0,
@@ -204,7 +232,7 @@ class TestStoreContract:
         }
         line = any_store.describe_health()
         assert line == (
-            f"robustness [{any_store.backend}]: busy_retries=0 "
+            f"robustness [{any_store.backend}]: "
             "lease_contentions=0 leases_active=0 leases_stale=0 "
             "reconnects=0 retried_requests=0 stale_takeovers=0"
         )
@@ -223,32 +251,19 @@ class TestBackendSelection:
         monkeypatch.delenv(STORE_BACKEND_ENV_VAR, raising=False)
         assert isinstance(make_store(), FileResultStore)
 
-    def test_env_selects_sqlite(self, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "sqlite")
-        assert isinstance(make_store(), SqliteResultStore)
-
     def test_spec_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "sqlite")
+        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "net://cachehost:4070")
         assert isinstance(make_store("fs"), FileResultStore)
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["redis", "sqlite"])
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(StoreError, match="accepted forms.*net://HOST:PORT"):
-            make_store("redis")
+            make_store(name)
 
     def test_url_roots_fs_store(self, tmp_path):
         store = from_url(f"fs://{tmp_path / 'cache'}")
         assert isinstance(store, FileResultStore)
         assert store.base == tmp_path / "cache"
-
-    def test_url_roots_sqlite_store(self, tmp_path):
-        store = from_url(f"sqlite://{tmp_path / 'cache'}")
-        assert isinstance(store, SqliteResultStore)
-        assert store.path == tmp_path / "cache" / "store.sqlite"
-
-    def test_url_names_sqlite_db_file(self, tmp_path):
-        store = from_url(f"sqlite://{tmp_path / 'mine.sqlite'}")
-        assert store.path == tmp_path / "mine.sqlite"
-        assert store.base == tmp_path
 
     def test_url_without_scheme_rejected(self):
         with pytest.raises(
@@ -256,16 +271,21 @@ class TestBackendSelection:
         ):
             from_url("/no/scheme/here")
 
-    def test_url_unknown_scheme_rejected(self):
+    @pytest.mark.parametrize(
+        "url", ["redis://somewhere", "sqlite:///x"], ids=["redis", "sqlite"]
+    )
+    def test_url_unknown_scheme_rejected(self, url):
+        scheme = url.partition("://")[0]
         with pytest.raises(
-            StoreError, match=r"unknown store backend 'redis'.*accepted forms"
+            StoreError, match=rf"unknown store backend '{scheme}'.*accepted forms"
         ):
-            from_url("redis://somewhere")
+            from_url(url)
 
     def test_make_store_accepts_urls(self, tmp_path, monkeypatch):
         monkeypatch.delenv(STORE_BACKEND_ENV_VAR, raising=False)
-        store = make_store(f"sqlite://{tmp_path / 'cache'}")
-        assert isinstance(store, SqliteResultStore)
+        store = make_store(f"fs://{tmp_path / 'cache'}")
+        assert isinstance(store, FileResultStore)
+        assert store.base == tmp_path / "cache"
 
     def test_url_builds_net_client(self):
         store = from_url("net://cachehost:4070")
@@ -328,13 +348,24 @@ class TestFileStoreDurability:
             "directory entry must be fsynced after the rename"
         )
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
     def test_crash_mid_put_leaves_only_sweepable_debris(self, tmp_path):
+        """A writer SIGKILLed between write and rename publishes nothing."""
         store = FileResultStore(tmp_path / "store")
         job = _job()
-        with pytest.raises(StoreError):
-            store.simulate_crash_mid_put(job, execute_job(job))
+        writer = multiprocessing.get_context("fork").Process(
+            target=_put_killed_at_rename, args=(store, job, execute_job(job))
+        )
+        writer.start()
+        writer.join(60)
+        if writer.is_alive():
+            writer.kill()
+        assert writer.exitcode == -signal.SIGKILL
         debris = list((tmp_path / "store").glob("v*/*/.*.tmp"))
-        assert len(debris) == 1  # the torn temp file a real crash strands
+        assert len(debris) == 1  # the unpublished temp file a crash strands
         assert store.get(job) is None  # never visible as an entry
         assert store.stats().entries == 0
         # clear() sweeps crash debris immediately.
@@ -414,95 +445,44 @@ class TestFileStoreDurability:
     def test_quarantine_keeps_reason_sidecar(self, tmp_path):
         store = FileResultStore(tmp_path / "store")
         job = _job()
-        store.put(job, execute_job(job))
-        store.corrupt_entry(job.key(), mode="semantic")
+        store.put(job, _violating(execute_job(job)))
         assert store.get(job) is None
         sidecars = list(store.quarantine_dir.glob("*.reason"))
         assert len(sidecars) == 1
         assert "exceed" in sidecars[0].read_text(encoding="utf-8")
 
+    def test_stale_takeover_never_unlinks_a_fresh_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """Two takeovers of one stale lease leave exactly one holder.
 
-# ----------------------------------------------------------------------
-# Sqlite backend mechanics: busy retries and fork safety
-# ----------------------------------------------------------------------
+        Store B takes the stale lease over between store A's read of it
+        and A's unlink.  A must re-check under the lease lock and back
+        off, instead of deleting B's fresh lease and taking the key too.
+        """
+        key = _job().key()
+        a = FileResultStore(tmp_path / "store")
+        b = FileResultStore(tmp_path / "store")
+        assert a.acquire_lease(key, ttl=0.05, owner="crashed:1") is not None
+        time.sleep(0.1)
 
+        real_read = a._read_lease
+        raced = []
 
-class TestSqliteStore:
-    def test_injected_busy_is_retried_and_counted(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store.inject_busy_once(times=2)
-        assert store.get(job) is not None  # retried through the busy spell
-        assert store.counters.busy_retries == 2
+        def read_then_b_takes_over(path):
+            record = real_read(path)
+            if not raced:
+                raced.append(b.acquire_lease(key, ttl=30.0, owner="b:2"))
+            return record
 
-    def test_busy_beyond_budget_degrades_to_store_error(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store", busy_retries=2)
-        store.inject_busy_once(times=10)
-        with pytest.raises(StoreError):
-            store.get(_job())
-        assert store.counters.busy_retries == 2
-
-    def test_non_busy_sqlite_error_is_store_error(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store._connection().execute("DROP TABLE entries")
-        with pytest.raises(StoreError):
-            store.get(job)
-
-    def test_single_file_layout(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        assert store.put(job, execute_job(job)) == job.key()
-        files = {
-            p.name
-            for p in (tmp_path / "store").iterdir()
-            if not p.name.startswith("store.sqlite-")  # WAL side files
-        }
-        assert files == {"store.sqlite"}
-
-    def test_quarantine_rows_record_reason(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store.corrupt_entry(job.key(), mode="truncate")
-        assert store.get(job) is None
-        rows = list(store.quarantined_entries())
-        assert rows and rows[0][0] == job.key()
-        assert "JSON" in rows[0][1]
-
-    def test_prune_age_uses_created_column(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store._connection().execute(
-            "UPDATE entries SET created = ?", (time.time() - 10 * 86400,)
-        )
-        assert store.prune(max_age_days=5) == 1
-        assert store.stats().entries == 0
-
-    def test_payloads_match_fs_codec(self, tmp_path):
-        """Both backends persist the identical (v2-packed) entry payload."""
-        from repro.exec.stores.base import ENTRY_MAGIC, inflate_entry
-
-        fs_store = FileResultStore(tmp_path / "fs")
-        sq_store = SqliteResultStore(tmp_path / "sq")
-        job = _job()
-        result = execute_job(job)
-        path = fs_store.put(job, result)
-        sq_store.put(job, result)
-        fs_raw = path.read_bytes()
-        row = sq_store._connection().execute(
-            "SELECT payload FROM entries WHERE key = ?", (job.key(),)
-        ).fetchone()
-        assert fs_raw.startswith(ENTRY_MAGIC)
-        assert bytes(row[0]).startswith(ENTRY_MAGIC)
-        fs_payload = json.loads(inflate_entry(fs_raw))
-        sq_payload = json.loads(inflate_entry(bytes(row[0])))
-        fs_payload.pop("created")
-        sq_payload.pop("created")
-        assert fs_payload == sq_payload
+        monkeypatch.setattr(a, "_read_lease", read_then_b_takes_over)
+        lease_a = a.acquire_lease(key, ttl=30.0, owner="a:1")
+        (lease_b,) = raced
+        assert lease_b is not None and lease_b.takeover
+        assert lease_a is None
+        assert a.counters.lease_contentions == 1
+        assert [owner for _key, owner, _stale in a.active_leases()] == ["b:2"]
+        assert b.release_lease(lease_b)
 
 
 class TestEntryCodec:
