@@ -38,7 +38,6 @@ from repro.sim import (
     MulticoreEngine,
     SimResult,
     alone_ipc,
-    alone_ipcs_for_mix,
     make_llc,
     policy_names,
     run_mix,
@@ -74,7 +73,6 @@ __all__ = [
     "Trace",
     "__version__",
     "alone_ipc",
-    "alone_ipcs_for_mix",
     "average_normalized_turnaround",
     "benchmark",
     "benchmark_names",

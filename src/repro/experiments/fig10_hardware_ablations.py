@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.sim.runner import run_single
+from repro.experiments.harness import ablation_rows
 
 EXPERIMENT_ID = "fig10"
 TITLE = "Hardware-realism ablations: sampling, history size, DeliWay hits"
@@ -27,34 +27,20 @@ BENCHMARKS = ("art_like", "ammp_like", "soplex_like")
 
 def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Run the three ablations; rows tagged by the ``ablation`` column."""
-    accesses = scaled_accesses(accesses)
-    rows = []
-    for name in BENCHMARKS:
-        baseline_ipc = run_single(name, "lru", accesses, seed).cores[0].ipc
-        row: dict = {"ablation": "sampling", "benchmark": name}
-        for period in SAMPLE_PERIODS:
-            result = run_single(name, "nucache", accesses, seed, sample_period=period)
-            row[f"1/{period}"] = round(result.cores[0].ipc / baseline_ipc, 4)
-        rows.append(row)
-    for name in BENCHMARKS:
-        baseline_ipc = run_single(name, "lru", accesses, seed).cores[0].ipc
-        row = {"ablation": "history", "benchmark": name}
-        for capacity in HISTORY_CAPACITIES:
-            result = run_single(
-                name, "nucache", accesses, seed, history_capacity=capacity
-            )
-            row[f"H={capacity}"] = round(result.cores[0].ipc / baseline_ipc, 4)
-        rows.append(row)
-    for name in BENCHMARKS:
-        baseline_ipc = run_single(name, "lru", accesses, seed).cores[0].ipc
-        row = {"ablation": "deli-hit", "benchmark": name}
-        for mode in ("fifo", "lru"):
-            result = run_single(
-                name, "nucache", accesses, seed, deli_replacement=mode
-            )
-            label = "promote" if mode == "fifo" else "refresh"
-            row[label] = round(result.cores[0].ipc / baseline_ipc, 4)
-        rows.append(row)
+    ablations = {
+        "sampling": {
+            f"1/{period}": {"sample_period": period} for period in SAMPLE_PERIODS
+        },
+        "history": {
+            f"H={capacity}": {"history_capacity": capacity}
+            for capacity in HISTORY_CAPACITIES
+        },
+        "deli-hit": {
+            "promote": {"deli_replacement": "fifo"},
+            "refresh": {"deli_replacement": "lru"},
+        },
+    }
+    rows = ablation_rows(BENCHMARKS, ablations, scaled_accesses(accesses), seed)
     notes = (
         "Cells are IPC normalized to LRU.  Shape targets: moderate "
         "sampling (1/8, 1/32) keeps most of the exact-profiling gain; "

@@ -17,8 +17,8 @@ gain persists on top of them.
 from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
-from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.sim.runner import run_single
+from repro.exec import SimJob
+from repro.experiments.base import ExperimentResult, scaled_accesses, sim_grid
 
 EXPERIMENT_ID = "fig12"
 TITLE = "NUcache gain under hardware prefetching (single core)"
@@ -30,14 +30,19 @@ BENCHMARKS = ("art_like", "equake_like", "mcf_like", "omnetpp_like", "hmmer_like
 def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Run the benchmark x prefetcher grid under LRU and NUcache."""
     accesses = scaled_accesses(accesses)
+    jobs = [
+        SimJob.single(name, policy, accesses, seed, prefetcher=prefetcher)
+        for name in BENCHMARKS
+        for prefetcher in PREFETCHERS
+        for policy in ("lru", "nucache")
+    ]
+    results = iter(sim_grid(jobs))
     rows = []
     for name in BENCHMARKS:
         row: dict = {"benchmark": name}
         for prefetcher in PREFETCHERS:
-            lru = run_single(name, "lru", accesses, seed,
-                             prefetcher=prefetcher).cores[0]
-            nuca = run_single(name, "nucache", accesses, seed,
-                              prefetcher=prefetcher).cores[0]
+            lru = next(results).cores[0]
+            nuca = next(results).cores[0]
             gain = nuca.ipc / lru.ipc - 1.0 if lru.ipc else 0.0
             row[f"{prefetcher}:lru_ipc"] = round(lru.ipc, 4)
             row[f"{prefetcher}:gain"] = round(gain, 4)

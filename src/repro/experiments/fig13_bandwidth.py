@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.exec import SimJob
-from repro.experiments.base import ExperimentResult, scaled_accesses, sim_grid
+from repro.experiments.base import ExperimentResult, scaled_accesses
+from repro.experiments.harness import mix_batch
 from repro.metrics.multicore import geometric_mean, weighted_speedup
-from repro.sim.runner import alone_ipc
-from repro.workloads.mixes import mix_members, mix_names
+from repro.workloads.mixes import mix_names
 
 EXPERIMENT_ID = "fig13"
 TITLE = "Eight-core NUcache vs LRU under fixed-latency and bandwidth-limited memory"
@@ -28,21 +28,23 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED,
     """Run the mix table under both memory models."""
     accesses = scaled_accesses(accesses)
     mixes = mix_names(num_cores)
-    results = iter(
-        sim_grid(
-            [
-                SimJob.mix(mix_name, policy, accesses, seed, memory_model=model)
-                for mix_name in mixes
-                for model in MEMORY_MODELS
-                for policy in ("lru", "nucache")
-            ]
-        )
+    mix_results, denominators = mix_batch(
+        mixes,
+        [
+            SimJob.mix(mix_name, policy, accesses, seed, memory_model=model)
+            for mix_name in mixes
+            for model in MEMORY_MODELS
+            for policy in ("lru", "nucache")
+        ],
+        accesses,
+        seed,
+        f"bandwidth-grid:{len(mixes)}mixes",
     )
+    results = iter(mix_results)
     rows = []
     improvements = {model: [] for model in MEMORY_MODELS}
     for mix_name in mixes:
-        members = mix_members(mix_name)
-        alone = [alone_ipc(name, num_cores, accesses, seed) for name in members]
+        alone = denominators[mix_name]
         row: dict = {"mix": mix_name}
         for model in MEMORY_MODELS:
             base = next(results)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.sim.runner import run_single
+from repro.experiments.harness import ablation_rows
 
 EXPERIMENT_ID = "fig9"
 TITLE = "Ablations: PC-selection mechanism and epoch length (single core)"
@@ -33,27 +33,17 @@ ORACLE_MAX_SELECTED = 5
 
 def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Run both ablations; rows are tagged by the ``ablation`` column."""
-    accesses = scaled_accesses(accesses)
-    rows = []
-    for name in BENCHMARKS:
-        baseline_ipc = run_single(name, "lru", accesses, seed).cores[0].ipc
-        row: dict = {"ablation": "selector", "benchmark": name}
-        for selector in SELECTORS:
-            result = run_single(
-                name, "nucache", accesses, seed,
-                selector=selector,
-                num_candidate_pcs=ORACLE_CANDIDATES,
-                max_selected_pcs=ORACLE_MAX_SELECTED,
-            )
-            row[selector] = round(result.cores[0].ipc / baseline_ipc, 4)
-        rows.append(row)
-    for name in BENCHMARKS:
-        baseline_ipc = run_single(name, "lru", accesses, seed).cores[0].ipc
-        row = {"ablation": "epoch", "benchmark": name}
-        for epoch in EPOCH_SWEEP:
-            result = run_single(name, "nucache", accesses, seed, epoch_misses=epoch)
-            row[f"E={epoch}"] = round(result.cores[0].ipc / baseline_ipc, 4)
-        rows.append(row)
+    oracle_pool = {
+        "num_candidate_pcs": ORACLE_CANDIDATES,
+        "max_selected_pcs": ORACLE_MAX_SELECTED,
+    }
+    ablations = {
+        "selector": {
+            selector: {"selector": selector, **oracle_pool} for selector in SELECTORS
+        },
+        "epoch": {f"E={epoch}": {"epoch_misses": epoch} for epoch in EPOCH_SWEEP},
+    }
+    rows = ablation_rows(BENCHMARKS, ablations, scaled_accesses(accesses), seed)
     notes = (
         "Cells are IPC normalized to LRU.  Shape targets: greedy ~ oracle "
         ">> topk ~ 1.0 on the delinquent benchmarks (topk floods the "

@@ -1,27 +1,53 @@
 """Shared machinery for the experiment drivers.
 
-The multicore figures all follow the same recipe: run every mix of a
-core count under a set of LLC policies, normalize each policy's weighted
-speedup to the LRU baseline, and report per-mix rows plus a geometric
-mean.  This module implements that recipe once.
-
-The full (mix x policy) grid — including every alone-run denominator —
-is built as one batch of :class:`~repro.exec.job.SimJob` specs and
-submitted through the scheduler (:func:`repro.exec.run_jobs`): cache
+Two recipes recur across drivers and are implemented here once: mix
+grids normalized by alone runs (weighted speedup and its relatives),
+and single-core NUcache ablations normalized to LRU.  Each builds its
+whole grid as one batch of :class:`~repro.exec.job.SimJob` specs and
+submits it through the scheduler (:func:`repro.exec.run_jobs`): cache
 hits come back from the persistent result store, misses fan out across
-worker processes, and repeated alone runs are deduplicated inside the
-batch.  Because every simulation is a pure function of its job spec,
-the assembled rows are identical at any worker count or cache state.
+worker processes, and repeated jobs are deduplicated inside the batch.
+Because every simulation is a pure function of its job spec, the
+assembled rows are identical at any worker count or cache state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.common.rng import DEFAULT_SEED
 from repro.exec import SimJob, run_jobs
 from repro.metrics.multicore import geometric_mean, weighted_speedup
+from repro.sim.engine import SimResult
 from repro.workloads.mixes import mix_members, mix_names
+
+
+def mix_batch(
+    mixes: Sequence[str],
+    mix_jobs: Sequence[SimJob],
+    accesses: int,
+    seed: int,
+    label: str,
+) -> Tuple[List[SimResult], Dict[str, List[float]]]:
+    """Resolve ``mix_jobs`` plus every mix's alone-run IPCs as one batch.
+
+    The denominators are LRU runs of each member on the full shared LLC
+    — the standard convention, shared by every policy, which is what
+    makes the headline "X% over baseline" comparable across policies.
+    Returns the mix results in submission order and, per mix, its
+    members' alone IPCs in core order.
+    """
+    members = {mix_name: mix_members(mix_name) for mix_name in mixes}
+    alone_jobs = [
+        SimJob.alone(name, len(names), accesses, seed)
+        for names in members.values()
+        for name in names
+    ]
+    results = run_jobs([*mix_jobs, *alone_jobs], label=label)
+    alone = iter(result.cores[0].ipc for result in results[len(mix_jobs):])
+    return results[: len(mix_jobs)], {
+        mix_name: [next(alone) for _ in names] for mix_name, names in members.items()
+    }
 
 
 def grid_weighted_speedups(
@@ -30,44 +56,26 @@ def grid_weighted_speedups(
     accesses: int,
     seed: int = DEFAULT_SEED,
 ) -> Dict[str, Dict[str, float]]:
-    """Weighted speedups for every (mix, policy) pair of a grid.
-
-    One scheduler batch resolves all mix runs plus the alone-IPC
-    denominators (LRU on the full shared LLC — the standard convention,
-    shared by every policy, which is what makes the headline "X% over
-    baseline" comparable across policies).
-    """
-    mix_jobs = [
-        SimJob.mix(mix_name, policy, accesses, seed)
-        for mix_name in mixes
-        for policy in policies
-    ]
-    alone_jobs = [
-        SimJob.alone(name, len(mix_members(mix_name)), accesses, seed)
-        for mix_name in mixes
-        for name in mix_members(mix_name)
-    ]
-    batch = mix_jobs + alone_jobs
-    label = f"speedup-grid:{len(mixes)}mixes x {len(policies)}policies"
-    resolved = dict(zip((job.key() for job in batch), run_jobs(batch, label=label)))
-
-    speedups: Dict[str, Dict[str, float]] = {}
-    for mix_name in mixes:
-        members = mix_members(mix_name)
-        alone = [
-            resolved[SimJob.alone(name, len(members), accesses, seed).key()]
-            .cores[0]
-            .ipc
-            for name in members
-        ]
-        speedups[mix_name] = {
-            policy: weighted_speedup(
-                resolved[SimJob.mix(mix_name, policy, accesses, seed).key()].ipcs,
-                alone,
-            )
+    """Weighted speedups for every (mix, policy) pair of a grid."""
+    mix_results, alone = mix_batch(
+        mixes,
+        [
+            SimJob.mix(mix_name, policy, accesses, seed)
+            for mix_name in mixes
+            for policy in policies
+        ],
+        accesses,
+        seed,
+        f"speedup-grid:{len(mixes)}mixes x {len(policies)}policies",
+    )
+    results = iter(mix_results)
+    return {
+        mix_name: {
+            policy: weighted_speedup(next(results).ipcs, alone[mix_name])
             for policy in policies
         }
-    return speedups
+        for mix_name in mixes
+    }
 
 
 def mix_weighted_speedups(
@@ -122,4 +130,35 @@ def multicore_comparison(
                 policy_gmean / base_gmean - 1.0, 4
             )
     rows.append(gmean_row)
+    return rows
+
+
+def ablation_rows(
+    benchmarks: Sequence[str],
+    ablations: Mapping[str, Mapping[str, Mapping[str, object]]],
+    accesses: int,
+    seed: int,
+) -> List[Dict[str, object]]:
+    """Single-core NUcache ablation rows, each cell IPC normalized to LRU.
+
+    ``ablations`` maps a row tag to ``{column: NUcache overrides}``;
+    every (tag, benchmark) pair yields one row.  All variants plus one
+    LRU baseline per benchmark resolve as one scheduler batch.
+    """
+    batch = [SimJob.single(name, "lru", accesses, seed) for name in benchmarks] + [
+        SimJob.single(name, "nucache", accesses, seed, **overrides)
+        for columns in ablations.values()
+        for name in benchmarks
+        for overrides in columns.values()
+    ]
+    ipcs = [result.cores[0].ipc for result in run_jobs(batch, label="ablation-grid")]
+    baseline = dict(zip(benchmarks, ipcs))
+    variants = iter(ipcs[len(benchmarks):])
+    rows: List[Dict[str, object]] = []
+    for tag, columns in ablations.items():
+        for name in benchmarks:
+            row: Dict[str, object] = {"ablation": tag, "benchmark": name}
+            for column in columns:
+                row[column] = round(next(variants) / baseline[name], 4)
+            rows.append(row)
     return rows

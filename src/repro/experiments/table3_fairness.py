@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.exec import SimJob
-from repro.experiments.base import ExperimentResult, scaled_accesses, sim_grid
+from repro.experiments.base import ExperimentResult, scaled_accesses
+from repro.experiments.harness import mix_batch
 from repro.metrics.multicore import (
     average_normalized_turnaround,
     fairness,
     harmonic_mean_speedup,
 )
-from repro.sim.runner import alone_ipc
-from repro.workloads.mixes import mix_members, mix_names
+from repro.workloads.mixes import mix_names
 
 EXPERIMENT_ID = "table3"
 TITLE = "Quad-core fairness metrics: ANTT, harmonic speedup, min/max fairness"
@@ -30,19 +30,21 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED,
     """Compute the fairness table."""
     accesses = scaled_accesses(accesses)
     mixes = mix_names(num_cores)
-    results = iter(
-        sim_grid(
-            [
-                SimJob.mix(mix_name, policy, accesses, seed)
-                for mix_name in mixes
-                for policy in ("lru", "nucache")
-            ]
-        )
+    mix_results, denominators = mix_batch(
+        mixes,
+        [
+            SimJob.mix(mix_name, policy, accesses, seed)
+            for mix_name in mixes
+            for policy in ("lru", "nucache")
+        ],
+        accesses,
+        seed,
+        f"fairness-grid:{len(mixes)}mixes",
     )
+    results = iter(mix_results)
     rows = []
     for mix_name in mixes:
-        members = mix_members(mix_name)
-        alone = [alone_ipc(name, num_cores, accesses, seed) for name in members]
+        alone = denominators[mix_name]
         row: dict = {"mix": mix_name}
         for policy in ("lru", "nucache"):
             result = next(results)

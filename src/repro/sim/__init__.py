@@ -7,7 +7,6 @@ from repro.sim.policies import make_llc, policy_names
 from repro.sim.runner import (
     DEFAULT_ACCESSES,
     alone_ipc,
-    alone_ipcs_for_mix,
     clear_alone_memo,
     make_traces,
     run_mix,
@@ -24,7 +23,6 @@ __all__ = [
     "MulticoreEngine",
     "SimResult",
     "alone_ipc",
-    "alone_ipcs_for_mix",
     "clear_alone_memo",
     "make_llc",
     "make_traces",

@@ -1,7 +1,8 @@
 """High-level run helpers: single benchmarks, mixes, alone baselines.
 
-These are the functions the experiment drivers, examples and CLI call.
-They encapsulate the conventions of the study:
+These are the functions the job executor (:func:`repro.exec.execute_job`),
+the examples and the CLI call.  They encapsulate the conventions of the
+study:
 
 * a *mix run* gives each core one benchmark, relocated into a private
   address space, on an LLC sized for the core count;
@@ -9,10 +10,9 @@ They encapsulate the conventions of the study:
   LRU — the denominator of weighted speedup;
 * trace lengths are expressed in accesses per core.
 
-Alone results are memoized per (benchmark, core-count, length, seed)
-because every mix of an experiment reuses them — in-process via a plain
-dict, across processes and invocations via the content-addressed result
-store (:mod:`repro.exec`).
+:func:`alone_ipc` memoizes alone IPCs in-process and resolves misses
+through the scheduler, so across processes and invocations they come
+from the content-addressed result store (:mod:`repro.exec`).
 """
 
 from __future__ import annotations
@@ -163,40 +163,16 @@ def alone_ipc(
 ) -> float:
     """Memoized alone-run IPC (weighted-speedup denominator).
 
-    Misses are looked up in the content-addressed result store before
-    simulating, so alone baselines are shared across worker processes
-    and across invocations of the harness.
+    Misses resolve as a one-job scheduler batch, so alone baselines are
+    shared across worker processes and invocations through the result
+    store, with the scheduler's result validation and degraded-store
+    fallback.
     """
     memo_key = (benchmark_name, num_cores_capacity, accesses, seed, policy)
-    cached = _ALONE_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
-    # Imported lazily: repro.exec imports this module at load time.
-    from repro.exec import SimJob
-    from repro.exec.context import resolve_store
+    if memo_key not in _ALONE_MEMO:
+        # Imported lazily: repro.exec imports this module at load time.
+        from repro.exec import SimJob, run_jobs
 
-    job = SimJob.alone(benchmark_name, num_cores_capacity, accesses, seed, policy)
-    store = resolve_store()
-    result = store.get(job) if store is not None else None
-    if result is None:
-        result = run_single(
-            benchmark_name, policy, accesses, seed, num_cores_capacity
-        )
-        if store is not None:
-            store.put(job, result)
-    ipc = result.cores[0].ipc
-    _ALONE_MEMO[memo_key] = ipc
-    return ipc
-
-
-def alone_ipcs_for_mix(
-    mix_name: str,
-    accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-) -> Dict[str, float]:
-    """Alone IPCs for every member of a mix (keyed per core position)."""
-    members = mix_members(mix_name)
-    return {
-        f"{core}:{name}": alone_ipc(name, len(members), accesses, seed)
-        for core, name in enumerate(members)
-    }
+        job = SimJob.alone(benchmark_name, num_cores_capacity, accesses, seed, policy)
+        _ALONE_MEMO[memo_key] = run_jobs([job], label="alone")[0].cores[0].ipc
+    return _ALONE_MEMO[memo_key]

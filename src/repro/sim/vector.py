@@ -48,10 +48,12 @@ Equivalence strategy (see ``docs/kernels.md`` for the full argument)
 
 from __future__ import annotations
 
+import math
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.cache.cache import (
     LEVEL_L1,
@@ -131,11 +133,11 @@ def make_engine(
 # Batch LRU kernel
 # ---------------------------------------------------------------------------
 
-#: Reusable scratch arrays keyed by (role, shape, dtype).  Kernel calls
-#: of the same shape (every repetition of a bench case; the fixed-point
-#: iterations of one run) reuse allocations instead of page-faulting
-#: fresh ones.  Results returned to callers never alias pool memory.
-_POOL: Dict[Tuple[str, object, str], np.ndarray] = {}
+#: Reusable scratch arrays: one flat buffer per (role, dtype), grown to
+#: the largest size requested, so kernel calls reuse allocations instead
+#: of page-faulting fresh ones and the pool stays bounded however many
+#: batch lengths a process sees.  Results never alias pool memory.
+_POOL: Dict[Tuple[str, str], np.ndarray] = {}
 
 
 def clear_buffer_pool() -> None:
@@ -143,14 +145,15 @@ def clear_buffer_pool() -> None:
     _POOL.clear()
 
 
-def _buf(role: str, shape: object, dtype: object) -> np.ndarray:
-    """Fetch (or allocate) a pooled scratch array. Contents undefined."""
-    key = (role, shape, str(dtype))
+def _buf(role: str, shape: Union[int, Tuple[int, int]], dtype: DTypeLike) -> np.ndarray:
+    """A pooled scratch array of ``shape``. Contents undefined."""
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    key = (role, str(dtype))
     buffer = _POOL.get(key)
-    if buffer is None:
-        buffer = np.empty(shape, dtype=dtype)  # type: ignore[arg-type]
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size, dtype=dtype)
         _POOL[key] = buffer
-    return buffer
+    return buffer[:size].reshape(shape)
 
 
 def lru_batch(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec import context as exec_context
 from repro.experiments import (
     fig1_delinquent_pcs,
     fig2_nextuse_cdf,
@@ -76,3 +77,19 @@ class TestExtensionDrivers:
         assert len(result.rows) == 3
         assert result.rows[0]["configuration"] == "lru"
         assert result.summary["adaptive_vs_frozen"] > 0
+
+
+class TestDriversResolveThroughTheStore:
+    @pytest.mark.parametrize(
+        "driver",
+        [fig9_selection_ablation, fig10_hardware_ablations, fig12_prefetch],
+        ids=lambda driver: driver.EXPERIMENT_ID,
+    )
+    def test_rerun_is_served_from_the_store(self, driver):
+        exec_context.reset()
+        driver.run(accesses=TINY)
+        exec_context.reset_totals()
+        driver.run(accesses=TINY)
+        totals = exec_context.totals()
+        assert totals.completed == 0
+        assert totals.cached > 0

@@ -17,6 +17,7 @@ import pytest
 
 from repro.common.errors import StoreError
 from repro.exec import Scheduler, SimJob, execute_job
+from repro.exec import context as exec_context
 from repro.exec.faults import FaultPlan, FaultyStore
 from repro.exec.stores import (
     BACKENDS,
@@ -24,6 +25,7 @@ from repro.exec.stores import (
     NetResultStore,
     StoreServer,
 )
+from repro.sim.runner import alone_ipc, clear_alone_memo
 
 ACCESSES = 3_000
 
@@ -181,6 +183,20 @@ class TestDegradedMode:
         assert report.degraded > 0  # the failed puts/leases, counted
         healthy = _healthy_results(batch)
         assert [r.to_dict() for r in results] == [r.to_dict() for r in healthy]
+
+    def test_alone_ipc_degrades_like_a_scheduled_lookup(self, monkeypatch):
+        exec_context.reset()
+        clear_alone_memo()
+        healthy = alone_ipc("hmmer_like", 2, ACCESSES)
+        clear_alone_memo()
+        monkeypatch.setattr(exec_context, "resolve_store", _DeadStore)
+        exec_context.reset_totals()
+        try:
+            assert alone_ipc("hmmer_like", 2, ACCESSES) == healthy
+            assert exec_context.totals().degraded > 0
+        finally:
+            clear_alone_memo()
+            exec_context.reset()
 
     def test_degradation_is_invisible_in_healthy_runs(self, tmp_path):
         scheduler = Scheduler(jobs=1, store=FileResultStore(tmp_path / "s"))

@@ -35,6 +35,7 @@ from repro.common.config import CacheGeometry, paper_system_config
 from repro.common.errors import SimulationError
 from repro.exec.job import SimJob
 from repro.prefetch.prefetchers import make_prefetcher
+from repro.sim import vector
 from repro.sim.engine import MulticoreEngine
 from repro.sim.memory import BandwidthLimitedMemory, FixedLatencyMemory
 from repro.sim.policies import make_llc
@@ -142,6 +143,26 @@ class TestKernelAgainstRealCache:
         clear_buffer_pool()
         fresh = lru_batch(lanes, tags, 64, 8, cores=cores)
         assert np.array_equal(first[0], fresh[0])
+
+    def test_buffer_pool_stays_bounded_across_batch_lengths(self):
+        # The longest batch comes first; shorter ones must reuse its
+        # buffers rather than add one set per distinct length.
+        inputs = [
+            _kernel_inputs(64, 8, length, seed=length)[1:]
+            for length in (4_000, 250, 3_000, 1_000, 3_999, 2_000)
+        ]
+        fresh = []
+        for lanes, tags, cores in inputs:
+            clear_buffer_pool()
+            fresh.append(lru_batch(lanes, tags, 64, 8, cores=cores))
+        clear_buffer_pool()
+        pool_bytes = []
+        for (lanes, tags, cores), want in zip(inputs, fresh):
+            got = lru_batch(lanes, tags, 64, 8, cores=cores)
+            for got_part, want_part in zip(got, want):
+                assert np.array_equal(got_part, want_part)
+            pool_bytes.append(sum(buf.nbytes for buf in vector._POOL.values()))
+        assert pool_bytes == [pool_bytes[0]] * len(inputs)
 
 
 class TestKernelAgainstDifferentialOracle:
