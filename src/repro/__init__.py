@@ -3,8 +3,8 @@
 A trace-driven multicore cache study: the NUcache shared-LLC
 organization (MainWays/DeliWays with Next-Use-distance cost-benefit PC
 selection), the baselines it is evaluated against (LRU, DIP, TADIP-F,
-UCP, PIPP, RRIP family), a synthetic SPEC-like workload substrate, and a
-benchmark harness that regenerates every table and figure of the
+UCP, PIPP, RRIP family), a synthetic SPEC-like workload substrate, and
+experiment drivers that regenerate every table and figure of the
 evaluation (see DESIGN.md and EXPERIMENTS.md).
 
 Quickstart::

@@ -14,8 +14,8 @@ import hashlib
 
 import numpy as np
 
-#: Root seed used by all experiments unless overridden.  Fixed so the
-#: benchmark harness is reproducible run to run.
+#: Root seed used by all experiments unless overridden.  Fixed so every
+#: table and figure is reproducible run to run.
 DEFAULT_SEED = 20110212  # HPCA 2011 publication date
 
 

@@ -4,8 +4,8 @@ The experiment drivers are plain functions — threading a worker count
 and a cache flag through every one of them would bloat each signature
 for a setting that is global by nature (one CLI invocation, one worker
 budget).  Instead this module holds a single :class:`ExecConfig` the CLI
-(``run --jobs N --no-cache``), the benchmark conftest and tests
-configure, and :func:`run_jobs` — the one call every grid goes through.
+(``run --jobs N --no-cache``) and tests configure, and :func:`run_jobs`
+— the one call every grid goes through.
 
 Defaults come from the environment so non-CLI entry points (pytest, the
 examples, notebooks) inherit them too:
@@ -57,8 +57,6 @@ class ExecConfig:
 
     jobs: int = 1
     use_cache: bool = True
-    timeout: Optional[float] = None
-    retries: int = 1
     progress: Optional[ProgressHook] = None
     #: When set, every executed job runs under cProfile and dumps its
     #: stats here (``run --profile``); empty/None disables profiling.
@@ -84,8 +82,6 @@ def current() -> ExecConfig:
 def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
     profile_dir: Optional[str] = None,
     store: Optional[str] = None,
@@ -103,10 +99,6 @@ def configure(
         config.jobs = int(jobs)
     if use_cache is not None:
         config.use_cache = bool(use_cache)
-    if timeout is not None:
-        config.timeout = timeout
-    if retries is not None:
-        config.retries = retries
     if progress is not None:
         config.progress = progress
     if profile_dir is not None:
@@ -175,8 +167,6 @@ def get_scheduler(progress: Optional[ProgressHook] = None) -> Scheduler:
     return Scheduler(
         jobs=config.jobs,
         store=store,
-        timeout=config.timeout,
-        retries=config.retries,
         progress=progress if progress is not None else config.progress,
         execute=execute,
     )

@@ -198,9 +198,6 @@ class Scheduler:
         execute: the job runner (overridable for tests and fault
             injection; must be picklable when running with a process
             pool).
-        validate: check every fresh result against the engine invariants
-            before accepting it; an invalid result is charged as a
-            failed attempt and never persisted.
         backoff_base: first retry-round delay in seconds (0 disables
             backoff entirely).
         backoff_cap: upper bound on any single retry-round delay.
@@ -222,7 +219,6 @@ class Scheduler:
         progress: Optional[ProgressHook] = None,
         strict: bool = True,
         execute: Callable[[SimJob], SimResult] = execute_job,
-        validate: bool = True,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         singleflight: bool = True,
@@ -241,7 +237,6 @@ class Scheduler:
         self.progress = progress
         self.strict = strict
         self.execute = execute
-        self.validate = validate
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.singleflight = singleflight
@@ -755,8 +750,6 @@ class Scheduler:
 
     def _accept(self, state: _JobState, result: SimResult) -> Optional[str]:
         """Invariant-check a fresh result; returns the violation, if any."""
-        if not self.validate:
-            return None
         violations = validate_result(result, state.job)
         if violations:
             return "invalid result: " + "; ".join(violations[:3])

@@ -2,8 +2,8 @@
 
 Every experiment driver returns an :class:`ExperimentResult`: an
 identifier, a title, a list of uniform row dicts and free-form notes.
-The same object feeds the CLI's text tables, the pytest-benchmark
-harness and EXPERIMENTS.md.
+The same object feeds the CLI's text tables, the claims tests
+(``tests/test_claims.py``) and EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.errors import ExperimentError
 
 #: Environment variable scaling experiment trace lengths (e.g. 0.5 for
-#: half-length traces); used to keep the benchmark harness quick.
+#: half-length traces, 0.05 for a quick ``run all``).
 SCALE_ENV_VAR = "REPRO_SCALE"
 
 

@@ -1,6 +1,6 @@
 """Tiny-scale smoke tests for the experiment drivers.
 
-The benchmark harness runs each driver at realistic scale with shape
+``tests/test_claims.py`` runs each driver at realistic scale with shape
 assertions; these tests only verify the drivers' *plumbing* (rows,
 columns, summaries, determinism hooks) at the smallest useful trace
 length, so a refactor that breaks a driver fails fast in the unit

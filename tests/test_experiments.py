@@ -1,8 +1,8 @@
 """Tests for the experiment infrastructure and cheap drivers.
 
-The heavyweight figure drivers are exercised end-to-end by the benchmark
-harness (``benchmarks/``); here we cover the shared machinery and the
-drivers that run instantly (tables), plus tiny-scale smoke runs.
+The heavyweight figure drivers are exercised end-to-end by the claims
+tests (``tests/test_claims.py``); here we cover the shared machinery and
+the drivers that run instantly (tables), plus tiny-scale smoke runs.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ class TestInstantDrivers:
         result = run_experiment("table1")
         assert len(result.rows) == 4
         assert result.rows[0]["cores"] == 1
+        assert result.rows[-1]["cores"] == 8
 
     def test_table2(self):
         result = run_experiment("table2")
