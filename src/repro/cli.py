@@ -829,8 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
-        help="simulation engine backend (default: REPRO_ENGINE or scalar); "
-        "results are byte-identical either way",
+        help="simulation engine backend (default: REPRO_ENGINE, else vector "
+        "for runs that batch entirely and scalar for the rest); results are "
+        "byte-identical either way",
     )
     run_parser.set_defaults(func=_cmd_run)
 
@@ -935,8 +936,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
-        help="simulation engine backend (default: REPRO_ENGINE or scalar); "
-        "results are byte-identical either way",
+        help="simulation engine backend (default: REPRO_ENGINE, else vector "
+        "for runs that batch entirely and scalar for the rest); results are "
+        "byte-identical either way",
     )
     sim_parser.set_defaults(func=_cmd_sim)
 

@@ -22,9 +22,9 @@ from typing import List
 from repro.common.config import paper_system_config
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.sim.engine import MulticoreEngine
 from repro.sim.memory import FixedLatencyMemory
 from repro.sim.policies import make_llc
+from repro.sim.vector import make_engine
 from repro.workloads.synthetic import BenchmarkSpec, StreamSpec, generate_trace
 from repro.workloads.textio import concatenate
 
@@ -72,7 +72,7 @@ def _phased_trace(accesses: int, seed: int):
 def _run(trace, policy: str, seed: int, **overrides: object) -> float:
     config = paper_system_config(1, **overrides)
     llc = make_llc(policy, config, seed)
-    engine = MulticoreEngine(
+    engine = make_engine(
         (trace,), llc, config, FixedLatencyMemory(config.latency.memory),
         warmup_fraction=0.1,
     )

@@ -19,10 +19,10 @@ from repro.common.config import CacheGeometry, paper_system_config
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
 from repro.metrics.multicore import geometric_mean
-from repro.sim.engine import MulticoreEngine
 from repro.sim.memory import FixedLatencyMemory
 from repro.sim.policies import make_llc
 from repro.sim.runner import make_traces
+from repro.sim.vector import make_engine
 
 EXPERIMENT_ID = "fig15"
 TITLE = "NUcache gain vs LLC capacity (single core, same-size LRU baseline)"
@@ -40,7 +40,7 @@ def _run_at_size(name: str, policy: str, size_kb: int, accesses: int,
     )
     traces = make_traces([name], accesses, seed)
     llc = make_llc(policy, config, seed)
-    engine = MulticoreEngine(
+    engine = make_engine(
         traces, llc, config, FixedLatencyMemory(config.latency.memory),
         warmup_fraction=0.25,
     )

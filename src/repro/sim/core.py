@@ -58,10 +58,13 @@ class CoreModel:
         self._lat_llc = config.latency.llc_hit
         self.gap = trace.instruction_gap
 
-        block_shift = log2_exact(config.block_bytes)
-        self._blocks: List[int] = (trace.addresses >> block_shift).tolist()
-        self._pcs: List[int] = trace.pcs.tolist()
-        self._writes: List[bool] = trace.is_write.tolist()
+        self._block_shift = log2_exact(config.block_bytes)
+        # Per-access python lists of the trace, built by the first step()
+        # (see _load_trace): the batched engine never steps a core, so it
+        # never pays for them.
+        self._blocks: Optional[List[int]] = None
+        self._pcs: List[int] = []
+        self._writes: List[bool] = []
 
         self.cursor = 0
         self.clock = 0
@@ -78,7 +81,7 @@ class CoreModel:
     @property
     def trace_length(self) -> int:
         """Accesses per pass."""
-        return len(self._blocks)
+        return len(self.trace)
 
     @property
     def first_pass_done(self) -> bool:
@@ -99,12 +102,17 @@ class CoreModel:
         """Execute the next access; returns the servicing level.
 
         Advances the local clock by the compute gap plus the access
-        latency.  After the last access of a pass the cursor wraps so
-        early finishers keep generating contention (their statistics are
-        frozen at :attr:`completion_clock`).
+        latency.  The last access of a pass sets
+        :attr:`completion_clock` and wraps the cursor.  The engine never
+        steps a finished core again (see DESIGN.md's methodology
+        deviations); a direct caller that does replays the trace with
+        the statistics frozen at the first pass.
         """
         index = self.cursor
-        block = self._blocks[index]
+        blocks = self._blocks
+        if blocks is None:
+            blocks = self._load_trace()
+        block = blocks[index]
         pc = self._pcs[index]
         is_write = self._writes[index]
         core = self.core_id
@@ -138,6 +146,21 @@ class CoreModel:
             if self.completion_clock < 0:
                 self.completion_clock = self.clock
         return level
+
+    def _load_trace(self) -> List[int]:
+        """Build the per-access python lists :meth:`step` reads.
+
+        Deliberately a plain method called from ``step`` rather than a
+        ``cached_property``: a descriptor on the class would stop the
+        interpreter from specializing the ``self._blocks`` load in the
+        hot loop.
+        """
+        trace = self.trace
+        blocks: List[int] = (trace.addresses >> self._block_shift).tolist()
+        self._blocks = blocks
+        self._pcs = trace.pcs.tolist()
+        self._writes = trace.is_write.tolist()
+        return blocks
 
     def _issue_prefetches(self, block: int, pc: int, was_miss: bool,
                           llc: LastLevelCache) -> None:

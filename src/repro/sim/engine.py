@@ -2,10 +2,11 @@
 
 Cores progress on local clocks; at every step the engine advances the
 core with the *smallest* clock, so accesses from different cores reach
-the shared LLC in global time order.  A core that finishes its trace
-wraps around and keeps running (to keep contention realistic for the
-slower cores) but its statistics freeze at the end of its first pass —
-the standard multiprogrammed methodology.
+the shared LLC in global time order.  A core that finishes its first
+pass leaves the schedule: it is never stepped again, so its clock stays
+at its completion and the slower cores run on without its contention.
+The standard multiprogrammed methodology instead keeps early finishers
+running; DESIGN.md lists this as a methodology deviation.
 """
 
 from __future__ import annotations

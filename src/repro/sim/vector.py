@@ -12,12 +12,14 @@ faster than the scalar engine while producing **byte-identical**
 Selection
 ---------
 
-The backend is chosen per run: ``make_engine(...)`` returns a
-:class:`VectorEngine` when the resolved mode is ``"vector"`` and a plain
-:class:`~repro.sim.engine.MulticoreEngine` otherwise.  The mode comes
-from an explicit argument, the ``REPRO_ENGINE`` environment variable
-(inherited by scheduler worker processes), or defaults to ``"scalar"``
-so existing behaviour is unchanged.
+The backend is chosen per run by ``make_engine(...)``.  An explicit
+mode — the ``mode`` argument, else the ``REPRO_ENGINE`` environment
+variable (inherited by scheduler worker processes) — forces the class:
+``"vector"`` builds a :class:`VectorEngine`, ``"scalar"`` a plain
+:class:`~repro.sim.engine.MulticoreEngine`.  With neither set, the
+default builds a :class:`VectorEngine` exactly when the whole run
+batches (a plain-LRU LLC, fixed-latency memory, no prefetcher) and the
+scalar engine otherwise.
 
 Equivalence strategy (see ``docs/kernels.md`` for the full argument)
 --------------------------------------------------------------------
@@ -84,21 +86,25 @@ ENGINE_MODES = ("scalar", "vector")
 MAX_FIXED_POINT_ITERATIONS = 30
 
 
-def resolve_engine_mode(explicit: Optional[str] = None) -> str:
-    """Resolve the engine backend name for a run.
+def resolve_engine_mode(explicit: Optional[str] = None) -> Optional[str]:
+    """Resolve the engine backend name requested for a run.
 
     Args:
         explicit: mode requested programmatically (CLI flag); overrides
             the environment when not ``None``.
 
     Returns:
-        One of :data:`ENGINE_MODES`.
+        One of :data:`ENGINE_MODES`, or ``None`` when neither
+        ``explicit`` nor ``REPRO_ENGINE`` names one (the per-run
+        default of :func:`make_engine`).
 
     Raises:
         SimulationError: if the requested mode is unknown.
     """
     mode = explicit if explicit is not None else os.environ.get(ENGINE_ENV, "")
-    mode = (mode or "scalar").strip().lower()
+    mode = (mode or "").strip().lower()
+    if not mode:
+        return None
     if mode not in ENGINE_MODES:
         raise SimulationError(
             f"unknown engine mode {mode!r}; use one of {ENGINE_MODES}"
@@ -121,11 +127,36 @@ def make_engine(
     :class:`~repro.sim.engine.MulticoreEngine` directly: the returned
     object has the same interface, and the vector backend guarantees
     byte-identical results (falling back internally where needed).
+    With no mode requested, runs that batch entirely (see
+    :func:`_lru_batchable`, and no prefetcher) get the vector backend;
+    every other run keeps the scalar loop.
     """
-    cls = VectorEngine if resolve_engine_mode(mode) == "vector" else MulticoreEngine
+    resolved = resolve_engine_mode(mode)
+    if resolved is None:
+        batches = _lru_batchable(llc, memory) and (
+            prefetchers is None or all(p is None for p in prefetchers)
+        )
+        resolved = "vector" if batches else "scalar"
+    cls = VectorEngine if resolved == "vector" else MulticoreEngine
     return cls(
         traces, llc, config, memory,
         warmup_fraction=warmup_fraction, prefetchers=prefetchers,
+    )
+
+
+def _lru_batchable(
+    llc: LastLevelCache, memory: Optional[FixedLatencyMemory]
+) -> bool:
+    """Whether the LLC and memory resolve entirely in numpy.
+
+    True for a plain-LRU :class:`~repro.cache.cache.SetAssociativeCache`
+    in front of fixed-latency memory (``None`` is the engine's default,
+    fixed-latency memory); anything else needs the hybrid path.
+    """
+    return (
+        type(llc) is SetAssociativeCache
+        and llc._plain_lru
+        and (memory is None or type(memory) is FixedLatencyMemory)
     )
 
 
@@ -136,7 +167,9 @@ def make_engine(
 #: Reusable scratch arrays: one flat buffer per (role, dtype), grown to
 #: the largest size requested, so kernel calls reuse allocations instead
 #: of page-faulting fresh ones and the pool stays bounded however many
-#: batch lengths a process sees.  Results never alias pool memory.
+#: batch lengths a run sees.  :meth:`VectorEngine.run` empties it when
+#: it returns, so a finished run pins no scratch memory.  Results never
+#: alias pool memory.
 _POOL: Dict[Tuple[str, str], np.ndarray] = {}
 
 
@@ -434,7 +467,10 @@ class VectorEngine(MulticoreEngine):
         if reason is not None:
             self.fallback_reason = reason
             return super().run(max_steps)
-        return self._run_batched()
+        try:
+            return self._run_batched()
+        finally:
+            clear_buffer_pool()
 
     # -- private-level batch simulation ---------------------------------
 
@@ -461,14 +497,8 @@ class VectorEngine(MulticoreEngine):
         levels[llc_idx] = 3
 
         llc = self.llc
-        memory = self.memory
-        full_vector = (
-            type(llc) is SetAssociativeCache
-            and llc._plain_lru
-            and type(memory) is FixedLatencyMemory
-        )
         bounds = np.concatenate(([0], np.cumsum(lengths)))
-        if full_vector:
+        if _lru_batchable(llc, self.memory):
             result = self._resolve_llc_vector(
                 all_blocks, core_of, llc_idx, levels, bounds
             )
@@ -649,9 +679,9 @@ class VectorEngine(MulticoreEngine):
             pos_list = pos.tolist()
             per_core.append({
                 "base": base,
-                "blocks": [core._blocks[p] for p in pos_list],
-                "pcs": [core._pcs[p] for p in pos_list],
-                "writes": [core._writes[p] for p in pos_list],
+                "blocks": all_blocks[llc_idx[mask]].tolist(),
+                "pcs": core.trace.pcs[pos].tolist(),
+                "writes": core.trace.is_write[pos].tolist(),
                 "pos": pos_list,
                 "out": [0] * len(pos_list),
                 "hit": [False] * len(pos_list),

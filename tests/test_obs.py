@@ -313,7 +313,9 @@ class TestProfile:
         )
 
         wrapper = ProfiledExecute(execute_job, tmp_path / "profiles")
-        job = SimJob.single("art_like", "lru", 4_000)
+        # A nucache job keeps the scalar loop under the default engine,
+        # so engine frames lead its profile (an lru job batches).
+        job = SimJob.single("art_like", "nucache", 4_000)
         plain = execute_job(job).to_dict()
         profiled = wrapper(job).to_dict()
         assert profiled == plain  # profiling never touches the result

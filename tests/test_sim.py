@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.cache import LEVEL_L1, LEVEL_MEMORY
-from repro.common.config import tiny_system_config
+from repro.common.config import paper_system_config, tiny_system_config
 from repro.common.errors import ConfigError, SimulationError
 from repro.sim.core import CoreModel
 from repro.sim.engine import MulticoreEngine
 from repro.sim.memory import BandwidthLimitedMemory, FixedLatencyMemory
 from repro.sim.policies import make_llc, policy_names
+from repro.sim.runner import make_traces
+from repro.sim.vector import VectorEngine
 
 from conftest import make_trace
 
@@ -146,6 +148,20 @@ class TestMulticoreEngine:
         result = MulticoreEngine(traces, make_llc("lru", config), config).run()
         assert all(core.instructions > 0 for core in result.cores)
         assert all(core.cycles > 0 for core in result.cores)
+
+    @pytest.mark.parametrize("engine_cls", [MulticoreEngine, VectorEngine])
+    def test_finished_core_stops_at_its_completion(self, engine_cls):
+        # An early finisher is never stepped again: it does not wrap
+        # around and add contention while slower cores finish (a
+        # methodology deviation, see DESIGN.md).
+        config = paper_system_config(2)
+        traces = make_traces(["gcc_like", "mcf_like"], 5_000, 1)
+        engine = engine_cls(traces, make_llc("lru", config), config)
+        engine.run()
+        clocks = [core.completion_clock for core in engine.cores]
+        assert clocks[0] != clocks[1]
+        for core in engine.cores:
+            assert (core.passes, core.clock) == (1, core.completion_clock)
 
     def test_max_steps_guard(self):
         config = tiny_system_config(1)

@@ -35,7 +35,7 @@ from repro.common.config import CacheGeometry, paper_system_config
 from repro.common.errors import SimulationError
 from repro.exec.job import SimJob
 from repro.prefetch.prefetchers import make_prefetcher
-from repro.sim import vector
+from repro.sim import runner, vector
 from repro.sim.engine import MulticoreEngine
 from repro.sim.memory import BandwidthLimitedMemory, FixedLatencyMemory
 from repro.sim.policies import make_llc
@@ -311,9 +311,31 @@ class TestFallbackTriggers:
 class TestEngineSelection:
     """resolve_engine_mode / make_engine honor flag, env, and default."""
 
-    def test_default_is_scalar(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "policy,memory_model,prefetcher,expected",
+        [
+            ("lru", "fixed", None, VectorEngine),
+            ("nucache", "fixed", None, MulticoreEngine),
+            ("tadip", "fixed", None, MulticoreEngine),
+            ("lru", "bandwidth", None, MulticoreEngine),
+            ("lru", "fixed", "stride", MulticoreEngine),
+        ],
+    )
+    def test_default_batches_exactly_the_batchable_runs(
+        self, policy, memory_model, prefetcher, expected, monkeypatch
+    ):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine_mode() == "scalar"
+        assert resolve_engine_mode() is None
+        config = paper_system_config(2)
+        traces = make_traces(["mcf_like", "milc_like"], 1_200, 1)
+        prefetchers = None
+        if prefetcher is not None:
+            prefetchers = [make_prefetcher(prefetcher) for _ in traces]
+        engine = make_engine(
+            traces, make_llc(policy, config, 1), config,
+            _make_memory_model(config, memory_model), prefetchers=prefetchers,
+        )
+        assert type(engine) is expected
 
     def test_env_selects_vector(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "vector")
@@ -331,14 +353,38 @@ class TestEngineSelection:
         "mode,expected", [("scalar", MulticoreEngine), ("vector", VectorEngine)]
     )
     def test_make_engine_classes(self, mode, expected, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        # A requested mode forces the class, batchable run (lru) or not.
         config = paper_system_config(1)
         traces = make_traces(["mcf_like"], 1_200, 1)
-        engine = make_engine(
-            traces, make_llc("lru", config, 1), config,
-            FixedLatencyMemory(config.latency.memory), mode=mode,
-        )
-        assert type(engine) is expected
+        for policy in ("lru", "nucache"):
+            monkeypatch.delenv(ENGINE_ENV, raising=False)
+            engine = make_engine(
+                traces, make_llc(policy, config, 1), config,
+                FixedLatencyMemory(config.latency.memory), mode=mode,
+            )
+            assert type(engine) is expected
+            monkeypatch.setenv(ENGINE_ENV, mode)
+            engine = make_engine(traces, make_llc(policy, config, 1), config)
+            assert type(engine) is expected
+
+
+class TestMemoryHygiene:
+    """A batched run leaves no scratch memory or per-access lists behind."""
+
+    def test_default_lru_mix_releases_pool_and_builds_no_lists(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        built = []
+
+        def recording_make_engine(*args, **kwargs):
+            built.append(make_engine(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "make_engine", recording_make_engine)
+        runner.run_mix("mix4_1", "lru", accesses=3_000)
+        (engine,) = built
+        assert type(engine) is VectorEngine and engine.fallback_reason is None
+        assert not vector._POOL
+        assert all(core._blocks is None for core in engine.cores)
 
 
 class TestStoreKeyRegression:
