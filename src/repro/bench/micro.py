@@ -120,7 +120,9 @@ def nextuse_update_case(quick: bool = False, ops_scale: float = 1.0) -> BenchCas
 
     Drives :class:`repro.nucache.nextuse.NextUseProfiler` with a
     deterministic interleaving of evictions and reuses of recently
-    evicted blocks — the exact call mix NUcache issues per miss.
+    evicted blocks — the exact call mix NUcache makes per miss — and
+    closes the epoch with ``finish_epoch()`` inside the timed region,
+    since that is where the profiler derives the events' delta vectors.
     """
     import numpy as np
 
@@ -143,6 +145,7 @@ def nextuse_update_case(quick: bool = False, ops_scale: float = 1.0) -> BenchCas
                 on_eviction(addr & 1023, addr, slot)
             else:
                 on_reuse(addr & 1023, addr)
+        profiler.finish_epoch()
         return time.perf_counter() - start
 
     return BenchCase("nextuse_update", num_ops, "events", run_once)

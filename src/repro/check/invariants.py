@@ -13,8 +13,9 @@ invariants the paper (and DESIGN.md) state *checkable at runtime*:
   increasing), per-line candidate-slot annotations match the
   controller's table, and the retention conservation law
   ``retentions == promotions + deli_evictions + resident`` holds;
-* Next-Use profiling — eviction counters and event delta vectors are
-  non-negative and never exceed the observed eviction mass;
+* Next-Use profiling — eviction counters are non-negative and match
+  the eviction log, history entries and reuse intervals point inside
+  the log, and frozen delta vectors never exceed the eviction mass;
 * statistics conservation — per-core counters sum to the totals,
   ``fills <= misses``, ``evictions <= fills``, ``writebacks <=
   evictions``, and occupancy never exceeds net fills.
@@ -341,56 +342,63 @@ def check_nucache(llc: NUCache) -> List[str]:
 def check_profiler(
     profiler: NextUseProfiler, label: str = "profiler"
 ) -> List[str]:
-    """Non-negativity and mass conservation of the live Next-Use monitor."""
+    """Counter/log agreement and in-log positions of the live Next-Use monitor.
+
+    The per-slot eviction counters must equal the eviction log's per-slot
+    counts, every history entry must point at its own eviction inside the
+    log (positions strictly increasing in FIFO order, so no two entries
+    share one), and every recorded reuse interval must lie inside the log.
+    """
     violations: List[str] = []
     evictions = profiler._evictions
     num_slots = profiler._num_slots
+    log = profiler._log
     if len(evictions) != num_slots:
         violations.append(
             f"{label}: {len(evictions)} eviction counters for {num_slots} slots"
         )
     if any(count < 0 for count in evictions):
         violations.append(f"{label}: negative eviction counter ({evictions})")
-    if len(profiler._history) > profiler.history_capacity:
+    logged = [0] * num_slots
+    for slot in log:
+        if not 0 <= slot < num_slots:
+            violations.append(f"{label}: eviction log holds slot {slot} out of range")
+            break
+        logged[slot] += 1
+    else:
+        if logged != evictions:
+            violations.append(
+                f"{label}: eviction counters {evictions} != the log's "
+                f"per-slot counts {logged}"
+            )
+    history = profiler._history
+    if len(history) > profiler.history_capacity:
         violations.append(
-            f"{label}: history holds {len(profiler._history)} entries, "
+            f"{label}: history holds {len(history)} entries, "
             f"capacity is {profiler.history_capacity}"
         )
-    for block_addr, (pc_slot, snapshot) in profiler._history.items():
-        if not 0 <= pc_slot < num_slots:
+    previous = -1
+    for block_addr, position in history.items():
+        if position >= len(log):
             violations.append(
-                f"{label}: history entry {block_addr:#x} has slot {pc_slot} "
-                f"out of range"
-            )
-        if len(snapshot) != len(evictions):
-            violations.append(
-                f"{label}: history entry {block_addr:#x} snapshot length "
-                f"{len(snapshot)} != {len(evictions)} slots"
-            )
-        elif any(past > now for past, now in zip(snapshot, evictions)):
-            violations.append(
-                f"{label}: history entry {block_addr:#x} snapshot exceeds "
-                f"current eviction counters (mass not conserved)"
-            )
-    for event in profiler._events:
-        if not 0 <= event.pc_slot < num_slots:
-            violations.append(
-                f"{label}: event slot {event.pc_slot} out of range"
-            )
-        if len(event.deltas) != num_slots:
-            violations.append(
-                f"{label}: event delta vector has {len(event.deltas)} entries "
-                f"for {num_slots} slots"
+                f"{label}: history entry {block_addr:#x} points at log position "
+                f"{position}, past the end of the log ({len(log)} evictions)"
             )
             continue
-        if any(delta < 0 for delta in event.deltas):
+        if position <= previous:
             violations.append(
-                f"{label}: negative Next-Use delta ({event.deltas})"
+                f"{label}: history entry {block_addr:#x} points at log position "
+                f"{position}, not after the previous entry's {previous}"
             )
-        elif any(delta > now for delta, now in zip(event.deltas, evictions)):
+        previous = position
+    reuses = profiler._reuses
+    if len(reuses) % 2:
+        violations.append(f"{label}: reuse record has odd length {len(reuses)}")
+    for evicted_at, reused_at in zip(reuses[::2], reuses[1::2]):
+        if not 0 <= evicted_at < reused_at <= len(log):
             violations.append(
-                f"{label}: event deltas {event.deltas} exceed observed "
-                f"evictions {tuple(evictions)}"
+                f"{label}: reuse interval ({evicted_at}, {reused_at}) lies "
+                f"outside the log of {len(log)} evictions"
             )
     return violations
 

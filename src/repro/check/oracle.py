@@ -27,10 +27,15 @@ Three kinds of references, chosen by :func:`make_reference`:
   through the documented ``touch``/``should_bypass``/``victim``/
   ``insert`` contract — exactly the code path the slot-array rework
   replaced, which is the regression this oracle exists to catch.
+
+:class:`RefNextUseProfiler` is a test reference of a different kind: the
+original Next-Use monitor, which snapshots every candidate counter at
+each eviction, kept to check the event-log profiler's epoch profiles.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.cache import SetAssociativeCache
@@ -48,6 +53,7 @@ from repro.cache.replacement.ship import ship_factory
 from repro.common.config import SystemConfig
 from repro.common.errors import InvariantViolation, ReproError
 from repro.check.invariants import check_llc, snapshot_llc
+from repro.nucache.nextuse import EpochProfile
 from repro.nucache.organization import NUCache
 from repro.nucache.partitioned import PartitionedNUCache
 
@@ -292,6 +298,63 @@ class RefPartitionedNUCache(RefNUCache):
             if entry["core"] == requester:
                 return entry
         return main[-1]
+
+
+class RefNextUseProfiler:
+    """Snapshot-based Next-Use monitor (reference for the event log).
+
+    Same interface and semantics as
+    :class:`~repro.nucache.nextuse.NextUseProfiler`, by the direct
+    algorithm: every profiled eviction stores a tuple of all candidate
+    eviction counters, and a reuse subtracts that snapshot from the
+    current counters to get its delta vector.
+    """
+
+    def __init__(self, history_capacity: int, sample_period: int = 1) -> None:
+        self.history_capacity = history_capacity
+        self.sample_period = sample_period
+        self._num_slots = 0
+        self._evictions: List[int] = []
+        # block_addr -> (pc_slot, eviction-counter snapshot)
+        self._history: "OrderedDict[int, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
+        self._events: List[Tuple[int, Tuple[int, ...]]] = []
+
+    def begin_epoch(self, num_slots: int) -> None:
+        self._num_slots = num_slots
+        self._evictions = [0] * num_slots
+        self._history.clear()
+        self._events = []
+
+    def on_eviction(self, set_index: int, block_addr: int, pc_slot: int) -> None:
+        if pc_slot < 0 or set_index % self.sample_period != 0:
+            return
+        self._evictions[pc_slot] += 1
+        self._history[block_addr] = (pc_slot, tuple(self._evictions))
+        self._history.move_to_end(block_addr)
+        if len(self._history) > self.history_capacity:
+            self._history.popitem(last=False)
+
+    def on_reuse(self, set_index: int, block_addr: int) -> bool:
+        if set_index % self.sample_period != 0:
+            return False
+        entry = self._history.pop(block_addr, None)
+        if entry is None:
+            return False
+        pc_slot, snapshot = entry
+        deltas = tuple(
+            current - past for current, past in zip(self._evictions, snapshot)
+        )
+        self._events.append((pc_slot, deltas))
+        return True
+
+    def finish_epoch(self) -> EpochProfile:
+        return EpochProfile(
+            self._num_slots,
+            [pc_slot for pc_slot, _deltas in self._events],
+            [deltas for _pc_slot, deltas in self._events],
+            self._evictions,
+            self.sample_period,
+        )
 
 
 #: Twin-policy factories for :class:`RefPolicyCache`, by organization

@@ -1,7 +1,7 @@
 """NUcache: the paper's contribution — organization, profiling, selection."""
 
 from repro.nucache.controller import NUcacheController, PCKey, WARMUP_FRACTION
-from repro.nucache.nextuse import EpochProfile, NextUseEvent, NextUseProfiler
+from repro.nucache.nextuse import EpochProfile, NextUseProfiler
 from repro.nucache.organization import NUCache
 from repro.nucache.partitioned import PartitionedNUCache
 from repro.nucache.selection import (
@@ -18,7 +18,6 @@ __all__ = [
     "NUCache",
     "NUcacheController",
     "PartitionedNUCache",
-    "NextUseEvent",
     "NextUseProfiler",
     "PCKey",
     "SELECTORS",

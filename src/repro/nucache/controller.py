@@ -5,7 +5,8 @@ organization: the delinquent-PC candidate table, the Next-Use profiler,
 the per-epoch miss accounting and the end-of-epoch selection.  The
 :class:`~repro.nucache.organization.NUCache` calls into it from its
 access path and asks it two questions on that path: "which candidate
-slot does this (core, PC) map to?" and "is this slot selected?".
+slot does this (core, PC) map to?" and "is this slot selected?".  The
+cache feeds the eviction and reuse stream to :attr:`profiler` directly.
 
 Epoch protocol (lengths measured in LLC misses, as in the paper):
 
@@ -100,11 +101,16 @@ class NUcacheController:
     # Hot-path notifications
     # ------------------------------------------------------------------
 
-    def note_miss(self, core: int, pc: int) -> None:
-        """Account one LLC miss against its (core, PC)."""
+    def note_miss(self, core: int, pc: int) -> int:
+        """Account one LLC miss against its (core, PC); returns its slot.
+
+        The slot is :meth:`slot_of` for the same pair, so the filling
+        miss path builds the ``(core, pc)`` key once.
+        """
         key = (core, pc)
         self._miss_counts[key] = self._miss_counts.get(key, 0) + 1
         self._misses_this_epoch += 1
+        return self._slot_of.get(key, -1)
 
     def note_access(self) -> bool:
         """Account one LLC access; returns True when the epoch just ended.
@@ -120,14 +126,6 @@ class NUcacheController:
             self._misses_this_epoch >= self._epoch_target
             or self._accesses_this_epoch >= self._access_target
         )
-
-    def on_main_eviction(self, set_index: int, block_addr: int, pc_slot: int) -> None:
-        """Forward a MainWay eviction to the profiler."""
-        self.profiler.on_eviction(set_index, block_addr, pc_slot)
-
-    def on_possible_reuse(self, set_index: int, block_addr: int) -> None:
-        """Forward a non-MainWay-hit access to the profiler."""
-        self.profiler.on_reuse(set_index, block_addr)
 
     # ------------------------------------------------------------------
     # Epoch boundary

@@ -20,30 +20,22 @@ per-PC counters; this is the same structure.  ``history_capacity``
 bounds the FIFO (reuses farther than the capacity are invisible, exactly
 as in hardware), and ``sample_period`` optionally restricts profiling to
 every Nth set (the hardware-friendly variant, evaluated as an ablation).
+
+Software representation: instead of snapshotting every counter at each
+eviction, the profiler appends the evicted line's slot to an epoch-long
+eviction log and remembers only the log position.  A reuse records the
+interval ``(position at eviction, log length now)``; the delta vectors
+are the per-slot eviction counts inside those intervals, derived in
+bulk with numpy when the epoch closes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
-
-
-@dataclass
-class NextUseEvent:
-    """One observed reuse of a previously-evicted line.
-
-    Attributes:
-        pc_slot: candidate slot of the PC that had filled the line.
-        deltas: per-candidate eviction counts accumulated between the
-            line's eviction and this reuse (length = number of candidate
-            slots).
-    """
-
-    pc_slot: int
-    deltas: Tuple[int, ...]
+from numpy.typing import ArrayLike
 
 
 #: Above this many events, selection works on a systematic subsample
@@ -53,22 +45,28 @@ MAX_SELECTION_EVENTS = 4096
 
 
 class EpochProfile:
-    """Everything the selector needs about one profiling epoch."""
+    """Everything the selector needs about one profiling epoch.
 
-    def __init__(self, num_slots: int, events: List[NextUseEvent],
-                 evictions_per_slot: List[int], sample_period: int,
+    Args:
+        num_slots: candidate slots this epoch.
+        event_pc: per reuse event, the candidate slot of the PC that
+            had filled the line.
+        event_deltas: per reuse event, one row of per-candidate eviction
+            counts accumulated between the line's eviction and its reuse.
+        evictions_per_slot: the epoch's profiled evictions per slot.
+        sample_period: the profiler's set-sampling period.
+    """
+
+    def __init__(self, num_slots: int, event_pc: ArrayLike, event_deltas: ArrayLike,
+                 evictions_per_slot: Sequence[int], sample_period: int,
                  max_selection_events: int = MAX_SELECTION_EVENTS) -> None:
         self.num_slots = num_slots
         self.sample_period = sample_period
         self.evictions_per_slot = list(evictions_per_slot)
-        if events:
-            self.event_pc = np.fromiter(
-                (event.pc_slot for event in events), dtype=np.int64, count=len(events)
-            )
-            self.event_deltas = np.array([event.deltas for event in events], dtype=np.int64)
-        else:
-            self.event_pc = np.zeros(0, dtype=np.int64)
-            self.event_deltas = np.zeros((0, num_slots), dtype=np.int64)
+        self.event_pc = np.asarray(event_pc, dtype=np.int64)
+        self.event_deltas = np.asarray(event_deltas, dtype=np.int64).reshape(
+            len(self.event_pc), num_slots
+        )
         if max_selection_events <= 0:
             raise ValueError(
                 f"max_selection_events must be positive, got {max_selection_events}"
@@ -152,58 +150,77 @@ class NextUseProfiler:
         self.sample_period = sample_period
         self._num_slots = 0
         self._evictions: List[int] = []
-        # block_addr -> (pc_slot, eviction-counter snapshot)
-        self._history: "OrderedDict[int, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
-        self._events: List[NextUseEvent] = []
+        # The slot of every profiled eviction this epoch, in order.
+        self._log: List[int] = []
+        # block_addr -> log position of its eviction (oldest first).
+        self._history: "OrderedDict[int, int]" = OrderedDict()
+        # Flat (position at eviction, log length at reuse) pairs.
+        self._reuses: List[int] = []
 
     def begin_epoch(self, num_slots: int) -> None:
         """Reset for a new epoch with ``num_slots`` candidate PCs."""
         self._num_slots = num_slots
         self._evictions = [0] * num_slots
+        self._log = []
         self._history.clear()
-        self._events = []
-
-    def sampled(self, set_index: int) -> bool:
-        """Whether evictions from this set are profiled."""
-        return set_index % self.sample_period == 0
+        self._reuses = []
 
     def on_eviction(self, set_index: int, block_addr: int, pc_slot: int) -> None:
         """Record a MainWay eviction of a line filled by slot ``pc_slot``.
 
         Lines from non-candidate PCs (``pc_slot < 0``) neither count as
         eviction traffic nor enter the history: they could never be
-        retained, so they are invisible to the cost-benefit model.
+        retained, so they are invisible to the cost-benefit model.  Only
+        every ``sample_period``-th set is profiled.
         """
-        if pc_slot < 0 or not self.sampled(set_index):
+        if pc_slot < 0 or set_index % self.sample_period:
             return
         self._evictions[pc_slot] += 1
-        self._history[block_addr] = (pc_slot, tuple(self._evictions))
-        self._history.move_to_end(block_addr)
-        if len(self._history) > self.history_capacity:
-            self._history.popitem(last=False)
+        log = self._log
+        history = self._history
+        history[block_addr] = len(log)
+        history.move_to_end(block_addr)
+        log.append(pc_slot)
+        if len(history) > self.history_capacity:
+            history.popitem(last=False)
 
-    def on_reuse(self, set_index: int, block_addr: int) -> Optional[NextUseEvent]:
+    def on_reuse(self, set_index: int, block_addr: int) -> bool:
         """Record an access to a line that may be in the eviction history.
 
-        Returns the event when the block was found (mainly for tests).
+        Returns whether the block was found (a Next-Use event).
         """
-        if not self.sampled(set_index):
-            return None
-        entry = self._history.pop(block_addr, None)
-        if entry is None:
-            return None
-        pc_slot, snapshot = entry
-        deltas = tuple(
-            current - past for current, past in zip(self._evictions, snapshot)
-        )
-        event = NextUseEvent(pc_slot, deltas)
-        self._events.append(event)
-        return event
+        if set_index % self.sample_period:
+            return False
+        position = self._history.pop(block_addr, None)
+        if position is None:
+            return False
+        reuses = self._reuses
+        reuses.append(position)
+        reuses.append(len(self._log))
+        return True
 
     def finish_epoch(self) -> EpochProfile:
-        """Freeze the epoch's observations into an :class:`EpochProfile`."""
+        """Freeze the epoch's observations into an :class:`EpochProfile`.
+
+        An event's delta for slot ``s`` counts the ``s`` entries of the
+        log strictly between the line's own eviction and its reuse: the
+        difference of the log's running ``s`` count at the two ends.
+        """
+        num_slots = self._num_slots
+        log = np.array(self._log, dtype=np.int64)
+        intervals = np.array(self._reuses, dtype=np.int64).reshape(-1, 2)
+        evicted_at, reused_at = intervals[:, 0], intervals[:, 1]
+        event_deltas = np.zeros((len(intervals), num_slots), dtype=np.int64)
+        if len(intervals):
+            # running[p]: entries of the slot among the first p of the log.
+            running = np.zeros(len(log) + 1, dtype=np.int64)
+            after_eviction = evicted_at + 1
+            for slot in range(num_slots):
+                np.cumsum(log == slot, out=running[1:])
+                event_deltas[:, slot] = running[reused_at] - running[after_eviction]
         return EpochProfile(
-            self._num_slots, self._events, self._evictions, self.sample_period
+            num_slots, log[evicted_at], event_deltas, self._evictions,
+            self.sample_period,
         )
 
     @property

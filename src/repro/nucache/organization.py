@@ -137,7 +137,8 @@ class NUCache(LastLevelCache):
 
         # Not in the MainWays: this access is a potential "next use" of a
         # previously evicted line, whether it hits the DeliWays or not.
-        self.controller.on_possible_reuse(set_index, block_addr)
+        controller = self.controller
+        controller.profiler.on_reuse(set_index, block_addr)
 
         entry = nu_set.deli.pop(tag, None)
         if entry is not None:
@@ -154,18 +155,23 @@ class NUCache(LastLevelCache):
                 self._fill_main(
                     nu_set, set_index, tag, entry.core, entry.pc, entry.pc_slot, entry.dirty
                 )
-            if self.controller.note_access():
-                self.controller.rotate(self._remap_slots)
+            if controller.note_access():
+                controller.rotate(self._remap_slots)
             return True
 
-        self.stats.record(core, hit=False)
+        # Miss: SharedCacheStats.record inlined as on the hit path.
+        stats = self.stats
+        stats.total.misses += 1
+        per_core = stats.per_core.get(core)
+        if per_core is None:
+            per_core = stats.per_core.setdefault(core, AccessStats())
+        per_core.misses += 1
         self._fill_main(
-            nu_set, set_index, tag, core, pc,
-            self.controller.slot_of(core, pc), is_write,
+            nu_set, set_index, tag, core, pc, controller.note_miss(core, pc),
+            is_write,
         )
-        self.controller.note_miss(core, pc)
-        if self.controller.note_access():
-            self.controller.rotate(self._remap_slots)
+        if controller.note_access():
+            controller.rotate(self._remap_slots)
         return False
 
     def end_of_interval(self) -> None:
@@ -222,8 +228,9 @@ class NUCache(LastLevelCache):
         victim = nu_set.main_lines[way]
         victim_addr = (victim.tag << self._index_bits) | set_index
         del nu_set.main_tag_to_way[victim.tag]
-        self.controller.on_main_eviction(set_index, victim_addr, victim.pc_slot)
-        if self.deli_ways > 0 and self.controller.is_selected(victim.pc_slot):
+        controller = self.controller
+        controller.profiler.on_eviction(set_index, victim_addr, victim.pc_slot)
+        if self.deli_ways > 0 and controller.is_selected(victim.pc_slot):
             nu_set.deli[victim.tag] = _DeliEntry(
                 victim.core, victim.pc, victim.pc_slot, victim.dirty,
                 seq=self.retentions,

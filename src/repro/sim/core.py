@@ -45,6 +45,7 @@ class CoreModel:
             )
         self.core_id = core_id
         self.trace = trace
+        self._trace_length = len(trace)
         self.warmup_accesses = warmup_accesses
         self.prefetcher = prefetcher
         self.l1 = SetAssociativeCache(config.l1, lru_factory(), f"l1.{core_id}")
@@ -81,7 +82,7 @@ class CoreModel:
     @property
     def trace_length(self) -> int:
         """Accesses per pass."""
-        return len(self.trace)
+        return self._trace_length
 
     @property
     def first_pass_done(self) -> bool:
@@ -134,13 +135,13 @@ class CoreModel:
             self._issue_prefetches(block, pc, level == LEVEL_MEMORY, llc)
 
         self.clock += self.gap + latency
-        if not self.first_pass_done and index >= self.warmup_accesses:
+        if self.completion_clock < 0 and index >= self.warmup_accesses:
             self.level_counts[level] += 1
 
         self.cursor = index + 1
         if self.cursor == self.warmup_accesses and self.passes == 0:
             self.warmup_clock = self.clock
-        if self.cursor >= self.trace_length:
+        if self.cursor >= self._trace_length:
             self.cursor = 0
             self.passes += 1
             if self.completion_clock < 0:

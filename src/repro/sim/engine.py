@@ -12,6 +12,7 @@ running; DESIGN.md lists this as a methodology deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.cache import LastLevelCache
@@ -213,22 +214,7 @@ class MulticoreEngine:
         checker = engine_checker(llc)
         pending = [core for core in cores if not core.first_pass_done]
         if observer is None and checker is None and max_steps is None:
-            # Fast loop: no per-step observer/max_steps predicates, and
-            # a lone pending core (every single-core run; the tail of
-            # every multicore run) steps without the min() scan.  Step
-            # order is identical to the instrumented loop: min() is
-            # stable, so a lone pending core is what min() would pick.
-            while pending:
-                if len(pending) == 1:
-                    runner = pending[0]
-                    step = runner.step
-                    while runner.completion_clock < 0:
-                        step(llc, memory)
-                else:
-                    runner = min(pending, key=_clock_of)
-                    runner.step(llc, memory)
-                if runner.first_pass_done:
-                    pending = [core for core in cores if not core.first_pass_done]
+            self._run_fast(pending)
             return self._collect()
         steps = 0
         while pending:
@@ -248,6 +234,41 @@ class MulticoreEngine:
         if checker is not None:
             checker.finish(steps)
         return self._collect()
+
+    def _run_fast(self, pending: List[CoreModel]) -> None:
+        """The uninstrumented loop, in the instrumented loop's step order.
+
+        ``min(pending, key=_clock_of)`` steps the earliest core, ties
+        going to the lowest core id, so the schedule is ordered by
+        ``(clock, core_id)``.  Only the stepped core's clock moves, so a
+        heap keyed that way steps its root until the root passes the
+        next core's key: one heap operation per overtake rather than a
+        key call per core per access.  A lone pending core (every
+        single-core run; the tail of every multicore run) runs to its
+        completion with no heap work.
+        """
+        llc = self.llc
+        memory = self.memory
+        heap = [(core.clock, core.core_id, core) for core in pending]
+        heapify(heap)
+        while len(heap) > 1:
+            _clock, core_id, runner = heap[0]
+            next_clock, next_id, _next = min(heap[1:3])
+            # The root stays first while (clock, core_id) < the next key.
+            limit = next_clock if core_id < next_id else next_clock - 1
+            step = runner.step
+            step(llc, memory)
+            while runner.clock <= limit and runner.completion_clock < 0:
+                step(llc, memory)
+            if runner.completion_clock < 0:
+                heapreplace(heap, (runner.clock, core_id, runner))
+            else:
+                heappop(heap)
+        if heap:
+            runner = heap[0][2]
+            step = runner.step
+            while runner.completion_clock < 0:
+                step(llc, memory)
 
     def _collect(self) -> SimResult:
         core_results = [

@@ -107,8 +107,8 @@ class TestSelection:
             slot = controller.slot_of(*key)
             if slot >= 0:
                 addr = blocks + (block % 8)
-                controller.on_main_eviction(0, addr, slot)
-                controller.on_possible_reuse(0, addr)
+                controller.profiler.on_eviction(0, addr, slot)
+                controller.profiler.on_reuse(0, addr)
             block += 1
 
     def test_selects_capturable_pc(self):

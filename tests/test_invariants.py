@@ -108,6 +108,13 @@ class TestCorruptionDetection:
         llc.controller.profiler._evictions[0] = -1
         assert any("negative eviction counter" in v for v in check_llc(llc))
 
+    def test_nextuse_history_past_log_end(self):
+        llc = _populated()
+        profiler = llc.controller.profiler
+        block_addr = next(iter(profiler._history))
+        profiler._history[block_addr] = len(profiler._log)
+        assert any("past the end of the log" in v for v in check_llc(llc))
+
     def test_stats_tamper(self):
         llc = _populated("lru")
         llc.stats.total.hits += 1
@@ -172,22 +179,29 @@ class TestViolationPayload:
 
 
 class TestEngineIntegration:
-    def _engine(self, policy="nucache"):
-        case = fuzz.FuzzCase(policy=policy, cores=1)
+    def _engine(self, policy="nucache", cores=1):
+        case = fuzz.FuzzCase(policy=policy, cores=cores)
         config = fuzz.system_config(case)
         llc = make_llc(policy, config, seed=case.seed)
         blocks = [(7 * i) % 96 for i in range(1500)]
         pcs = [0x400000 + (i % 9) * 4 for i in range(1500)]
         trace = make_trace(blocks, pcs=pcs, gap=0)
-        return MulticoreEngine([trace], llc, config), llc
+        # Relocated copies of one trace keep the cores' clocks tied
+        # often, so the schedule's (clock, core_id) tie-break decides
+        # which core reaches the LLC first.
+        traces = [trace.relocated(core_id) for core_id in range(cores)]
+        return MulticoreEngine(traces, llc, config), llc
 
-    def test_checked_run_matches_unchecked(self, monkeypatch):
+    @pytest.mark.parametrize("cores", [1, 4], ids=["1-core", "4-core"])
+    def test_checked_run_matches_unchecked(self, monkeypatch, cores):
+        """Checked runs take the instrumented ``min()`` loop, unchecked
+        ones the fast loop: both must schedule the cores identically."""
         monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
-        engine, _ = self._engine()
+        engine, _ = self._engine(cores=cores)
         baseline = engine.run().to_dict()
         for mode in (MODE_EPOCH, MODE_ACCESS):
             monkeypatch.setenv(CHECK_ENV_VAR, mode)
-            engine, _ = self._engine()
+            engine, _ = self._engine(cores=cores)
             assert engine.run().to_dict() == baseline
 
     @pytest.mark.parametrize("mode", [MODE_EPOCH, MODE_ACCESS])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.basic import lru_factory
 from repro.common.config import CacheGeometry, NUcacheConfig
-from repro.nucache.nextuse import EpochProfile, NextUseEvent
+from repro.nucache.nextuse import EpochProfile
 from repro.nucache.organization import NUCache
 from repro.partition.lookahead import lookahead_partition
 from repro.partition.ucp import UCPCache
@@ -135,14 +135,19 @@ class TestCaptureModelExactness:
     )
     def test_captured_hits_matches_bruteforce(self, raw_events, capacity):
         """The vectorized capture count equals the brute-force count."""
-        events = [NextUseEvent(pc, tuple(deltas)) for pc, deltas in raw_events]
-        profile = EpochProfile(3, events, [0, 0, 0], sample_period=1)
+        profile = EpochProfile(
+            3,
+            [pc for pc, _deltas in raw_events],
+            [deltas for _pc, deltas in raw_events],
+            [0, 0, 0],
+            sample_period=1,
+        )
         for mask_bits in range(1, 8):
             mask = np.array([(mask_bits >> bit) & 1 == 1 for bit in range(3)])
             expected = sum(
                 1
-                for event in events
-                if mask[event.pc_slot]
-                and sum(d for d, m in zip(event.deltas, mask) if m) <= capacity
+                for pc, deltas in raw_events
+                if mask[pc]
+                and sum(d for d, m in zip(deltas, mask) if m) <= capacity
             )
             assert profile.captured_hits(mask, capacity) == expected

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nucache.nextuse import EpochProfile, NextUseEvent
+from repro.nucache.nextuse import EpochProfile
 from repro.nucache.selection import (
     all_select,
     evaluate_subset,
@@ -17,7 +17,8 @@ from repro.nucache.selection import (
 def profile_from(events, slots, evictions=None):
     return EpochProfile(
         slots,
-        [NextUseEvent(pc, tuple(deltas)) for pc, deltas in events],
+        [pc for pc, _deltas in events],
+        [deltas for _pc, deltas in events],
         evictions or [0] * slots,
         sample_period=1,
     )
