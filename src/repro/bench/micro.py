@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 #: Lower bound on measured operations after ``ops_scale`` is applied.
 MIN_OPS = 1_000
@@ -220,8 +220,3 @@ MICRO_CASES: Dict[str, Callable[..., BenchCase]] = {
     "vector_lru_access": vector_lru_access_case,
     "vector_lru_access_small": vector_lru_access_small_case,
 }
-
-
-def build_micro_case(name: str, quick: bool = False, ops_scale: float = 1.0) -> Any:
-    """Build one registered micro case by name."""
-    return MICRO_CASES[name](quick=quick, ops_scale=ops_scale)

@@ -104,10 +104,6 @@ class RecencyStackPolicy(ReplacementPolicy):
         self.stack.remove(way)
         self.stack.insert(position, way)
 
-    def position_of(self, way: int) -> int:
-        """Current stack depth of ``way`` (0 = MRU)."""
-        return self.stack.index(way)
-
     def invalidate(self, way: int) -> None:
         """Demote an invalidated way straight to LRU."""
         self.stack.remove(way)

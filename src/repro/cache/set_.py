@@ -172,10 +172,6 @@ class CacheSet:
         """Number of valid lines in the set."""
         return len(self._tag_to_way)
 
-    def dirty_of(self, way: int) -> bool:
-        """Whether ``way`` holds a dirty line."""
-        return self._dirty[way]
-
     def core_of(self, way: int) -> int:
         """Core that filled ``way``."""
         return self._cores[way]

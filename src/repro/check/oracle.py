@@ -36,7 +36,7 @@ each eviction, kept to check the event-log profiler's epoch profiles.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.basic import (
@@ -320,12 +320,14 @@ class RefNextUseProfiler:
         self._events: List[Tuple[int, Tuple[int, ...]]] = []
 
     def begin_epoch(self, num_slots: int) -> None:
+        """Start an epoch over ``num_slots`` candidate PCs, history cleared."""
         self._num_slots = num_slots
         self._evictions = [0] * num_slots
         self._history.clear()
         self._events = []
 
     def on_eviction(self, set_index: int, block_addr: int, pc_slot: int) -> None:
+        """Count a sampled candidate eviction and snapshot all counters."""
         if pc_slot < 0 or set_index % self.sample_period != 0:
             return
         self._evictions[pc_slot] += 1
@@ -335,6 +337,7 @@ class RefNextUseProfiler:
             self._history.popitem(last=False)
 
     def on_reuse(self, set_index: int, block_addr: int) -> bool:
+        """Record a re-reference's delta vector; False if not in history."""
         if set_index % self.sample_period != 0:
             return False
         entry = self._history.pop(block_addr, None)
@@ -348,6 +351,7 @@ class RefNextUseProfiler:
         return True
 
     def finish_epoch(self) -> EpochProfile:
+        """The epoch's reuse events and eviction totals."""
         return EpochProfile(
             self._num_slots,
             [pc_slot for pc_slot, _deltas in self._events],

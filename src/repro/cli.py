@@ -20,8 +20,7 @@ Subcommands::
     nucache-repro sim --mix mix4_1 --policy nucache   # one simulation
     nucache-repro cache stats                         # result-store report
     nucache-repro cache prune --keep 1000             # trim the store
-    nucache-repro store serve /var/cache/nucache --port 4070   # share a store
-    nucache-repro run fig5 --store net://storehost:4070   # run against it
+    nucache-repro run fig5 --store fs:///tmp/store    # a store kept elsewhere
     nucache-repro check --quick                       # oracle fuzz sweep (CI)
     nucache-repro check --replay <file>               # replay a reproducer
     nucache-repro characterize art_like               # reuse-distance report
@@ -540,77 +539,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(store.describe_health())
     elif args.action == "clear":
         removed = store.clear()
-        where = getattr(store, "base", None) or getattr(store, "address", "?")
-        print(f"removed {removed} entries from {where}")
+        print(f"removed {removed} entries from {store.base}")
     elif args.action == "prune":
         if args.keep is None and args.max_age_days is None:
             print("prune needs --keep and/or --max-age-days", file=sys.stderr)
             return 2
         removed = store.prune(max_age_days=args.max_age_days, keep=args.keep)
         print(f"pruned {removed} entries; now {store.stats().describe()}")
-    return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    """Serve a local fs store to the fleet over TCP.
-
-    Prints one parseable ``listening on HOST:PORT`` line once the socket
-    is bound (with ``--port 0`` the kernel picks the port, so callers
-    must read it from here).  SIGINT/SIGTERM drain the in-flight
-    request, release every held lease, and exit 0 — an interrupted
-    server never strands leases or half-written replies.
-    """
-    import signal
-    import threading
-
-    from repro.exec.stores import BACKENDS, FileResultStore, make_store
-    from repro.exec.stores.net import StoreServer
-
-    target = args.target
-    try:
-        if target is not None and "://" not in target and target not in BACKENDS:
-            backing = FileResultStore(target)  # a bare path serves fs
-        else:
-            backing = make_store(target)
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if backing.backend == "net":
-        print(
-            "error: cannot serve a net:// store (that is already a "
-            "server); point serve at a path or an fs:// spec",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        server = StoreServer(backing, host=args.host, port=args.port)
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    host, port = server.address
-    print(f"serving {backing.backend} store "
-          f"{getattr(backing, 'base', '?')}", flush=True)
-    print(f"listening on {host}:{port}", flush=True)
-
-    stop = threading.Event()
-
-    def _drain(_signum: int, _frame: object) -> None:
-        stop.set()
-
-    previous = {
-        signum: signal.signal(signum, _drain)
-        for signum in (signal.SIGINT, signal.SIGTERM)
-    }
-    server.start()
-    try:
-        while not stop.wait(0.2):
-            pass
-    finally:
-        server.close()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-    print("drained; leases released; bye", flush=True)
     return 0
 
 
@@ -775,7 +710,7 @@ def _positive_int(raw: str) -> int:
 
 #: Help text of every ``--store`` flag.
 _STORE_HELP = (
-    "result-store backend: fs, fs://PATH, or net://HOST:PORT "
+    "result store: fs, fs://, or fs://PATH "
     "(default: REPRO_STORE or fs)"
 )
 
@@ -814,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the persistent result store (always recompute)",
     )
     run_parser.add_argument(
-        "--store", default=None, metavar="BACKEND",
+        "--store", default=None, metavar="SPEC",
         help=_STORE_HELP,
     )
     run_parser.add_argument(
@@ -873,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass the persistent result store (always recompute)",
         )
         target.add_argument(
-            "--store", default=None, metavar="BACKEND",
+            "--store", default=None, metavar="SPEC",
             help=_STORE_HELP,
         )
         target.add_argument(
@@ -959,33 +894,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune: drop entries older than D days",
     )
     cache_parser.add_argument(
-        "--store", default=None, metavar="BACKEND",
+        "--store", default=None, metavar="SPEC",
         help=_STORE_HELP,
     )
     cache_parser.set_defaults(func=_cmd_cache)
-
-    store_parser = subparsers.add_parser(
-        "store", help="serve a result store to other machines over TCP"
-    )
-    store_parser.add_argument(
-        "action", choices=("serve",),
-        help="serve: run the net-store server for a local backend",
-    )
-    store_parser.add_argument(
-        "target", nargs="?", default=None, metavar="SPEC",
-        help="store to serve: a path (fs store rooted there), fs, or an "
-        "fs://PATH URL (default: REPRO_STORE or fs)",
-    )
-    store_parser.add_argument(
-        "--host", default="127.0.0.1", metavar="HOST",
-        help="interface to bind (default: 127.0.0.1; 0.0.0.0 for a fleet)",
-    )
-    store_parser.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
-        help="port to bind (default: 0 = kernel-assigned; the chosen "
-        "port is printed as 'listening on HOST:PORT')",
-    )
-    store_parser.set_defaults(func=_cmd_store)
 
     def _add_bench_run_args(target: argparse.ArgumentParser) -> None:
         target.add_argument(

@@ -101,8 +101,8 @@ class ExecError(ReproError):
 class StoreError(ExecError):
     """The result store's backing medium is unusable for an operation.
 
-    Raised by the :mod:`repro.exec.stores` backends when the store is
-    unavailable, read-only, or persistently busy.  The scheduler treats
+    Raised by :mod:`repro.exec.stores` when the store is unavailable,
+    read-only, or persistently busy, or its spec is malformed.  The scheduler treats
     it as "compute without the cache" — a degraded mode it counts and
     surfaces — never as a batch failure.
     """

@@ -6,14 +6,13 @@ treatment:
 
 * :class:`~repro.exec.job.SimJob` — a frozen, hashable spec of one
   simulation with a stable content hash (:meth:`~repro.exec.job.SimJob.key`).
-* :mod:`~repro.exec.stores` — result-store backends (a local
-  filesystem store and a networked client for one served over TCP)
-  behind one abstract interface: results are persisted by content hash
-  so repeated runs are incremental across invocations, every read is
-  invariant-checked with bad entries quarantined, writes are atomic and
-  fsync-durable, and cross-process compute leases arbitrate
-  single-flight execution.  Select with ``REPRO_STORE`` or
-  ``run --store`` (``fs``, ``fs://PATH`` or ``net://HOST:PORT``).
+* :mod:`~repro.exec.stores` — the local filesystem result store:
+  results are persisted by content hash so repeated runs are
+  incremental across invocations, every read is invariant-checked with
+  bad entries quarantined, writes are atomic and fsync-durable, and
+  cross-process compute leases arbitrate single-flight execution.
+  Point it elsewhere with ``REPRO_STORE`` or ``run --store``
+  (``fs``, ``fs://`` or ``fs://PATH``).
 * :class:`~repro.exec.scheduler.Scheduler` — dedups a batch, serves
   cache hits, fans misses across a process pool with retry, backoff, a
   progress hook, and graceful SIGINT/SIGTERM draining; concurrent
@@ -58,20 +57,17 @@ from repro.exec.job import ENGINE_VERSION, SimJob, execute_job
 from repro.exec.journal import RunJournal, RunSummary, find_run, list_runs
 from repro.exec.scheduler import BatchReport, Scheduler
 from repro.exec.stores import (
-    AbstractResultStore,
     FileResultStore,
     Lease,
     STORE_BACKEND_ENV_VAR,
     STORE_ENV_VAR,
     StoreError,
     StoreStats,
-    from_url,
     make_store,
 )
 from repro.exec.validate import check_result, validate_result
 
 __all__ = [
-    "AbstractResultStore",
     "BatchReport",
     "ENGINE_VERSION",
     "ExecConfig",
@@ -92,7 +88,6 @@ __all__ = [
     "StoreError",
     "StoreStats",
     "ValidationError",
-    "from_url",
     "make_store",
     "active_journal",
     "check_result",

@@ -13,8 +13,8 @@ examples, notebooks) inherit them too:
 * ``REPRO_JOBS`` — default worker count (``1`` = serial).
 * ``REPRO_CACHE_DIR`` — result-store location (see
   :mod:`repro.exec.stores`).
-* ``REPRO_STORE`` — store backend (``fs``, ``fs://PATH`` or
-  ``net://HOST:PORT``).
+* ``REPRO_STORE`` — store spec (``fs``, ``fs://`` or ``fs://PATH``),
+  for a store kept apart from ``REPRO_CACHE_DIR``.
 
 Run-wide totals are accumulated across batches so the CLI can report
 completed/cached/failed counts per experiment.
@@ -31,7 +31,7 @@ from repro.exec.faults import FaultPlan, FaultyExecute, FaultyStore
 from repro.exec.job import SimJob, execute_job
 from repro.exec.journal import RunJournal
 from repro.exec.scheduler import BatchReport, ProgressHook, Scheduler
-from repro.exec.stores import AbstractResultStore, make_store
+from repro.exec.stores import FileResultStore, make_store
 from repro.sim.engine import SimResult
 
 #: Environment variable giving the default worker count.
@@ -61,8 +61,8 @@ class ExecConfig:
     #: When set, every executed job runs under cProfile and dumps its
     #: stats here (``run --profile``); empty/None disables profiling.
     profile_dir: Optional[str] = None
-    #: Store backend spec (``fs``, ``fs://PATH`` or ``net://HOST:PORT``);
-    #: ``None`` defers to ``$REPRO_STORE``, defaulting to ``fs``.
+    #: Store spec (``fs``, ``fs://`` or ``fs://PATH``); ``None`` defers
+    #: to ``$REPRO_STORE``, defaulting to ``fs``.
     store: Optional[str] = None
 
 
@@ -131,12 +131,12 @@ def active_journal() -> Optional[RunJournal]:
     return _journal
 
 
-def resolve_store() -> Optional[AbstractResultStore]:
+def resolve_store() -> Optional[FileResultStore]:
     """The result store per current config (``None`` when caching is off).
 
     Built fresh each call so ``REPRO_CACHE_DIR``/``REPRO_STORE`` changes
     (e.g. a test pointing the store at a tmpdir) take effect immediately.
-    The backend comes from :attr:`ExecConfig.store` when set, otherwise
+    The spec comes from :attr:`ExecConfig.store` when set, otherwise
     the environment (see :func:`repro.exec.stores.make_store`).
     """
     config = current()

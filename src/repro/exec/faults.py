@@ -9,17 +9,15 @@ This module provides that as two wrappers:
   injects, per job, a worker **crash** (``SIGKILL`` of the worker
   process), a **hang** (a sleep long enough to trip the scheduler's
   per-job timeout), or a **flake** (a transient raised exception).
-* :class:`FaultyStore` wraps any
-  :class:`~repro.exec.stores.base.AbstractResultStore` and injects every
+* :class:`FaultyStore` wraps a
+  :class:`~repro.exec.stores.fs.FileResultStore` and injects every
   store-level fault itself, through the wrapped store's public API:
   ``corrupt`` writes a plausible-but-invalid copy of a fresh result
   (exercising read-validate-quarantine), ``store.put.crash`` fails a
   write the way a crashed writer would, ``store.get.corrupt`` overwrites
   an entry with an invalid copy just before it is read, and
   ``store.lease.orphan`` drops a lease release (stranding the lease for
-  stale takeover).  Only the ``net.*`` transport faults need a seam in
-  a backend (:meth:`~repro.exec.stores.net.NetResultStore.inject_net_fault`),
-  because they fire below the net client's retry loop.
+  stale takeover).
 
 Whether a given job is faulted is a pure function of the plan's seed and
 the job's content key (via :mod:`repro.common.rng`), so fault placement
@@ -49,7 +47,6 @@ from repro.common.errors import ExecError, StoreError
 from repro.common.rng import make_rng
 from repro.exec.job import SimJob, execute_job
 from repro.exec.stores import default_store_dir
-from repro.exec.stores.net import NET_FAULT_KINDS
 from repro.sim.engine import SimResult
 
 #: Environment variable holding the fault spec (``kind=rate,...``).
@@ -68,9 +65,8 @@ STORE_FAULT_KINDS = (
     "store.lease.orphan",
 )
 
-#: Every injectable fault kind (the ``net.*`` kinds are client-side,
-#: armed through :meth:`repro.exec.stores.net.NetResultStore.inject_net_fault`).
-FAULT_KINDS = EXECUTOR_FAULT_KINDS + STORE_FAULT_KINDS + NET_FAULT_KINDS
+#: Every injectable fault kind.
+FAULT_KINDS = EXECUTOR_FAULT_KINDS + STORE_FAULT_KINDS
 
 
 def _fault_field(kind: str) -> str:
@@ -98,10 +94,6 @@ class FaultPlan:
     store_put_crash: float = 0.0
     store_get_corrupt: float = 0.0
     store_lease_orphan: float = 0.0
-    net_conn_refused: float = 0.0
-    net_read_timeout: float = 0.0
-    net_reply_corrupt: float = 0.0
-    net_server_crash: float = 0.0
     seed: int = 0
     hang_seconds: float = 30.0
     scratch: str = ""
@@ -195,10 +187,6 @@ class FaultPlan:
         plan = cls.parse(spec, seed=seed)
         return plan if plan.active() else None
 
-    def with_scratch(self, scratch: Path) -> "FaultPlan":
-        """Copy of the plan with the marker directory pinned."""
-        return replace(self, scratch=str(scratch))
-
 
 class FaultyExecute:
     """Picklable ``execute_job`` wrapper that injects plan faults.
@@ -230,8 +218,8 @@ class FaultyExecute:
 def _violating(result: SimResult) -> SimResult:
     """Copy of ``result`` whose first core breaks the engine invariants.
 
-    ``llc_misses = llc_accesses + 1`` is well-formed on every codec and
-    over the wire, so only read-side validation can catch it.
+    ``llc_misses = llc_accesses + 1`` is well-formed on every codec, so
+    only read-side validation can catch it.
     """
     first = result.cores[0]
     broken = replace(first, llc_misses=first.llc_accesses + 1)
@@ -243,8 +231,7 @@ class FaultyStore:
 
     Every method delegates to the wrapped store, and every store fault is
     made here from the store's own public API — ``put`` does not
-    validate but every read does — so one plan works the same on the
-    filesystem store and over the wire:
+    validate but every read does:
 
     * ``corrupt`` — ``put`` an invariant-violating copy of the result.
       Read-side validation must quarantine it, never serve it.
@@ -256,13 +243,6 @@ class FaultyStore:
       read path.
     * ``store.lease.orphan`` — swallow a lease release, stranding the
       lease for another process's stale takeover.
-    * ``net.conn.refused`` / ``net.read.timeout`` / ``net.reply.corrupt``
-      — arm one transport failure on the net backend's next request;
-      the client reconnects/retries and the operation still succeeds.
-    * ``net.server.crash`` — latch the net backend's server-dead flag
-      (the client view of a SIGKILLed server); every later store call
-      raises ``StoreError`` and the scheduler degrades.  All ``net.*``
-      kinds are no-ops on backends without :meth:`inject_net_fault`.
     """
 
     def __init__(self, store, plan: FaultPlan) -> None:
@@ -275,19 +255,9 @@ class FaultyStore:
     def __contains__(self, job: SimJob) -> bool:
         return job in self._store
 
-    def _arm_net(self, key: str) -> None:
-        """Fire planned ``net.*`` faults if the backend supports them."""
-        inject = getattr(self._store, "inject_net_fault", None)
-        if inject is None:
-            return
-        for kind in NET_FAULT_KINDS:
-            if self._plan.fire(kind, key):
-                inject(kind)
-
     def get(self, job: SimJob):
         """Read via the wrapped store, damaging planned entries first."""
         key = job.key()
-        self._arm_net(key)
         if (
             self._plan.selected("store.get.corrupt", key)
             and not self._plan.fired("store.get.corrupt", key)
@@ -303,7 +273,6 @@ class FaultyStore:
     def put(self, job: SimJob, result):
         """Persist via the wrapped store, injecting planned write faults."""
         key = job.key()
-        self._arm_net(key)
         if self._plan.fire("store.put.crash", key):
             raise StoreError(f"injected store crash mid-put for {key[:12]}")
         if self._plan.fire("corrupt", key):

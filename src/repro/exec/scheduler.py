@@ -7,7 +7,7 @@ specs and returns their results in submission order.  The pipeline:
    fanned back out to every occurrence; experiment grids repeat alone
    runs heavily, so this alone saves real work.
 2. **Cache lookup** — if a result store
-   (:class:`~repro.exec.stores.base.AbstractResultStore`) is attached,
+   (:class:`~repro.exec.stores.fs.FileResultStore`) is attached,
    every unique job is first looked up by content hash (the store
    validates and quarantines bad entries on read).
 3. **Execute** — misses run through a ``ProcessPoolExecutor`` when more
@@ -52,7 +52,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import ExecError, RunInterrupted, StoreError
 from repro.common.rng import backoff_delay
 from repro.exec.job import SimJob, execute_job
-from repro.exec.stores.base import DEFAULT_LEASE_TTL, AbstractResultStore
+from repro.exec.stores.base import DEFAULT_LEASE_TTL
+from repro.exec.stores.fs import FileResultStore
 from repro.exec.validate import validate_result
 from repro.obs.trace import active_tracer
 from repro.sim.engine import SimResult
@@ -84,10 +85,6 @@ class BatchReport:
     lease_contentions: int = 0
     #: Leases acquired by displacing a stale (crashed/hung) holder.
     stale_takeovers: int = 0
-    #: Net-store connections re-established after a drop during this batch.
-    reconnects: int = 0
-    #: Net-store requests resent (idempotently) after a transport failure.
-    retried_requests: int = 0
 
     @property
     def cache_fraction(self) -> float:
@@ -109,10 +106,6 @@ class BatchReport:
             line += f", {self.lease_contentions} lease waits"
         if self.stale_takeovers:
             line += f", {self.stale_takeovers} lease takeovers"
-        if self.reconnects:
-            line += f", {self.reconnects} reconnects"
-        if self.retried_requests:
-            line += f", {self.retried_requests} resent requests"
         if self.degraded:
             line += f", {self.degraded} store fallbacks (degraded)"
         return f"{line} in {self.wall_time:.2f}s"
@@ -127,8 +120,6 @@ class BatchReport:
             "degraded": self.degraded,
             "lease_contentions": self.lease_contentions,
             "stale_takeovers": self.stale_takeovers,
-            "reconnects": self.reconnects,
-            "retried_requests": self.retried_requests,
         }
         return {name: value for name, value in counters.items() if value}
 
@@ -213,7 +204,7 @@ class Scheduler:
     def __init__(
         self,
         jobs: int = 1,
-        store: Optional[AbstractResultStore] = None,
+        store: Optional[FileResultStore] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
         progress: Optional[ProgressHook] = None,
@@ -554,11 +545,6 @@ class Scheduler:
             self._emit("failed", state, done, report.total)
 
         installed = self._install_signal_handlers()
-        store_counters = getattr(self.store, "counters", None)
-        reconnects_before = store_counters.reconnects if store_counters else 0
-        resent_before = (
-            store_counters.retried_requests if store_counters else 0
-        )
         self._held_leases = {}
         self._next_renew = 0.0
         try:
@@ -665,11 +651,6 @@ class Scheduler:
         finally:
             self._release_all_leases()
             self._restore_signal_handlers(installed)
-        if store_counters is not None:
-            report.reconnects = store_counters.reconnects - reconnects_before
-            report.retried_requests = (
-                store_counters.retried_requests - resent_before
-            )
 
         if self._interrupted:
             # Anything not yet settled or failed is left for the resume.

@@ -1,31 +1,24 @@
-"""The abstract result-store contract every backend implements.
+"""The entry codec and the records the result store hands out.
 
 A result store maps a :class:`~repro.exec.job.SimJob`'s content hash to
-a serialized :class:`~repro.sim.engine.SimResult`.  Backends differ in
-*where* the bytes live (a local directory of entry files, or a server
-reached over TCP), but they all honour the same contract:
+a serialized :class:`~repro.sim.engine.SimResult`.  This module holds
+what :class:`~repro.exec.stores.fs.FileResultStore` builds on:
 
-* **Validated reads** — :meth:`AbstractResultStore.get` never serves a
-  corrupted or invariant-violating entry; bad entries are quarantined
-  (set aside for post-mortem, never deleted) and reported as a miss.
-* **Atomic, durable writes** — a crash mid-``put`` can never publish a
-  torn entry.
-* **Cross-process leases** — :meth:`~AbstractResultStore.acquire_lease`
-  arbitrates which of several processes computes a missed job
-  (single-flight); leases carry owner + heartbeat metadata so a crashed
-  holder's lease goes *stale* and can be taken over.
-* **Failure is a signal, not an abort** — anything that makes the
-  backend unusable raises :class:`StoreError`, which the scheduler
-  treats as "compute without the cache", never as a batch failure.
-
-The shared payload codec (:func:`encode_entry` / :func:`decode_entry`)
-lives here so every backend applies byte-identical validation and
-quarantine semantics.
+* the payload codec (:func:`encode_entry` / :func:`decode_entry`), which
+  validates every read against the engine invariants so a corrupted or
+  invariant-violating entry is reported with a quarantine reason and
+  never served;
+* the :class:`Lease` record of the cross-process compute leases that
+  arbitrate which of several processes computes a missed job
+  (single-flight), and :func:`stale_after`, which decides when a
+  crashed holder's lease may be taken over;
+* the :class:`StoreCounters` and :class:`StoreStats` that ``cache
+  stats`` renders;
+* the environment variables that locate the store.
 """
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import socket
@@ -34,7 +27,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.common.errors import ReproError
 from repro.exec.job import ENGINE_VERSION, SimJob
@@ -44,8 +37,8 @@ from repro.sim.engine import SimResult
 #: Environment variable overriding the store location.
 STORE_ENV_VAR = "REPRO_CACHE_DIR"
 
-#: Environment variable selecting the store backend (``fs`` or a
-#: ``from_url`` spec).
+#: Environment variable selecting the store (``fs``, ``fs://`` or
+#: ``fs://PATH``).
 STORE_BACKEND_ENV_VAR = "REPRO_STORE"
 
 #: Default time-to-live of a lease heartbeat: a lease whose heartbeat is
@@ -71,7 +64,7 @@ def lease_owner_id() -> str:
 
 
 # ----------------------------------------------------------------------
-# Shared payload codec (identical validation semantics per backend)
+# Entry payload codec
 # ----------------------------------------------------------------------
 
 #: Magic prefix of a codec-v2 (zlib-packed) entry payload.
@@ -141,8 +134,8 @@ def decode_entry(
     change read back transparently.  Returns ``(result, None)`` for a
     healthy entry and ``(None, reason)`` for anything else — unparsable
     bytes, a malformed payload, or a result that fails the engine
-    invariants.  Every backend funnels every read through this, so
-    "what counts as corrupt" can never diverge between them.
+    invariants.  Every store read funnels through this, so "what counts
+    as corrupt" is decided in one place.
     """
     try:
         raw = inflate_entry(text)
@@ -194,20 +187,16 @@ class StoreCounters:
 
     These are *process-local* (they reset with the process); durable
     state — active leases, quarantined entries — is reported by
-    :meth:`AbstractResultStore.stats` instead.
+    :meth:`~repro.exec.stores.fs.FileResultStore.stats` instead.
     """
 
     lease_contentions: int = 0
     stale_takeovers: int = 0
-    reconnects: int = 0
-    retried_requests: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (sorted rendering is the caller's job)."""
         return {
             "lease_contentions": self.lease_contentions,
-            "reconnects": self.reconnects,
-            "retried_requests": self.retried_requests,
             "stale_takeovers": self.stale_takeovers,
         }
 
@@ -240,126 +229,6 @@ class StoreStats:
                 f" ({self.leases_stale} stale)"
             )
         return line
-
-
-class AbstractResultStore(abc.ABC):
-    """One abstract API, two backends (filesystem and net).
-
-    Concrete stores implement the durable operations; membership,
-    counters, and the health rendering are shared here.  Every method
-    that touches the backing medium raises :class:`StoreError` (or an
-    ``OSError`` for the filesystem) when the medium is unusable — the
-    scheduler degrades to compute-without-cache rather than aborting.
-    """
-
-    #: Short backend name (``fs``, ``net``) used by stats and the CLI.
-    backend: str = "abstract"
-
-    def __init__(self) -> None:
-        self.counters = StoreCounters()
-
-    # -- entries -------------------------------------------------------
-
-    @abc.abstractmethod
-    def get(self, job: SimJob) -> Optional[SimResult]:
-        """Stored result for ``job``, or ``None`` on miss.
-
-        A corrupted or invariant-violating entry is quarantined and
-        reported as a miss; an entry deleted concurrently (a racing
-        ``prune``) is a clean miss, never an exception.
-        """
-
-    @abc.abstractmethod
-    def put(self, job: SimJob, result: SimResult) -> object:
-        """Persist ``result`` under ``job``'s key, atomically and durably.
-
-        Returns a backend-specific locator (a :class:`~pathlib.Path` for
-        the filesystem store, the key for net).  Writes are not
-        validated — every read is.
-        """
-
-    def __contains__(self, job: SimJob) -> bool:
-        """Validated membership: never disagrees with :meth:`get`."""
-        return self.get(job) is not None
-
-    # -- maintenance ---------------------------------------------------
-
-    @abc.abstractmethod
-    def stats(self) -> StoreStats:
-        """Entry count, byte footprint, quarantine and lease census."""
-
-    @abc.abstractmethod
-    def clear(self) -> int:
-        """Delete every entry (all engine versions); returns the count."""
-
-    @abc.abstractmethod
-    def prune(
-        self,
-        max_age_days: Optional[float] = None,
-        keep: Optional[int] = None,
-    ) -> int:
-        """Trim old-version / aged / overflow entries; returns the count."""
-
-    @abc.abstractmethod
-    def quarantined_entries(self) -> Iterator[object]:
-        """Identifiers of quarantined entries (paths or keys)."""
-
-    # -- leases --------------------------------------------------------
-
-    @abc.abstractmethod
-    def acquire_lease(
-        self,
-        key: str,
-        ttl: float = DEFAULT_LEASE_TTL,
-        owner: Optional[str] = None,
-    ) -> Optional[Lease]:
-        """Try to take the compute lease for ``key``.
-
-        ``owner`` defaults to this process's :func:`lease_owner_id`; the
-        network server passes the *client's* identity through so leases
-        stay attributed fleet-wide.  Returns the :class:`Lease` on
-        success (including a takeover of a stale lease, flagged via
-        :attr:`Lease.takeover` and counted in
-        :attr:`StoreCounters.stale_takeovers`), or ``None`` when another
-        live process holds it (counted in
-        :attr:`StoreCounters.lease_contentions`).
-        """
-
-    @abc.abstractmethod
-    def renew_lease(self, lease: Lease) -> bool:
-        """Refresh a held lease's heartbeat; False if no longer ours."""
-
-    @abc.abstractmethod
-    def release_lease(self, lease: Lease) -> bool:
-        """Drop a held lease; False if it already expired or moved on."""
-
-    @abc.abstractmethod
-    def active_leases(self) -> List[Tuple[str, str, bool]]:
-        """Current ``(key, owner, is_stale)`` lease census."""
-
-    # -- health rendering ----------------------------------------------
-
-    def health(self) -> Dict[str, int]:
-        """Deterministic robustness census for ``cache stats``.
-
-        Combines the durable lease census with the process-local
-        counters; every field is always present (zeros included) so the
-        rendering is byte-stable.
-        """
-        leases = self.active_leases()
-        stale = sum(1 for _, _, is_stale in leases if is_stale)
-        census: Dict[str, int] = {
-            "leases_active": len(leases) - stale,
-            "leases_stale": stale,
-        }
-        census.update(self.counters.as_dict())
-        return census
-
-    def describe_health(self) -> str:
-        """One-line ``key=value`` robustness summary (sorted, byte-stable)."""
-        census = self.health()
-        rendered = " ".join(f"{key}={census[key]}" for key in sorted(census))
-        return f"robustness [{self.backend}]: {rendered}"
 
 
 def stale_after(heartbeat: float, ttl: float, now: Optional[float] = None) -> bool:

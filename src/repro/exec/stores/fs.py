@@ -37,7 +37,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 try:  # pragma: no cover - platform availability, not logic
     import fcntl
@@ -47,11 +47,11 @@ except ImportError:  # pragma: no cover - Windows
 from repro.common.errors import StoreError
 from repro.exec.job import ENGINE_VERSION, SimJob
 from repro.exec.stores.base import (
-    AbstractResultStore,
     DEFAULT_LEASE_TTL,
     ENTRY_HEADER_LEN,
     ENTRY_MAGIC,
     Lease,
+    StoreCounters,
     StoreStats,
     decode_entry,
     default_store_dir,
@@ -100,13 +100,20 @@ def _lease_is_stale(record: dict, default_ttl: float = DEFAULT_LEASE_TTL) -> boo
     return stale_after(heartbeat, ttl)
 
 
-class FileResultStore(AbstractResultStore):
-    """Maps job content hashes to serialized results on the filesystem."""
+class FileResultStore:
+    """Maps job content hashes to serialized results on the filesystem.
 
+    Every method that touches the store directory raises
+    :class:`StoreError` or an ``OSError`` when the medium is unusable;
+    the scheduler then degrades to compute-without-cache rather than
+    aborting the batch.
+    """
+
+    #: Backend name shown by :meth:`stats` and :meth:`describe_health`.
     backend = "fs"
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        super().__init__()
+        self.counters = StoreCounters()
         base = Path(root) if root is not None else default_store_dir()
         self.base = base
         self.root = base / f"v{ENGINE_VERSION}"
@@ -189,6 +196,10 @@ class FileResultStore(AbstractResultStore):
         raise StoreError(
             f"could not publish entry {job.key()[:12]}: {last_error}"
         )
+
+    def __contains__(self, job: SimJob) -> bool:
+        """Validated membership: never disagrees with :meth:`get`."""
+        return self.get(job) is not None
 
     # ------------------------------------------------------------------
     # Quarantine
@@ -323,7 +334,13 @@ class FileResultStore(AbstractResultStore):
         A stale holder (heartbeat older than its TTL — a crashed or hung
         process) is displaced: the stale file is unlinked and the
         ``O_EXCL`` create retried, so exactly one contender wins the
-        takeover.  A live foreign lease is counted as contention.
+        takeover, flagged via :attr:`Lease.takeover` and counted in
+        :attr:`StoreCounters.stale_takeovers`.  A live foreign lease
+        returns ``None`` and is counted in
+        :attr:`StoreCounters.lease_contentions`.
+
+        ``owner`` defaults to this process's :func:`lease_owner_id`;
+        tests pass one to stand in for another process.
         """
         self.leases_dir.mkdir(parents=True, exist_ok=True)
         path = self._lease_path(key)
@@ -441,6 +458,28 @@ class FileResultStore(AbstractResultStore):
             leases_stale=stale,
             logical_bytes=logical,
         )
+
+    def health(self) -> Dict[str, int]:
+        """Deterministic robustness census for ``cache stats``.
+
+        Combines the durable lease census with the process-local
+        counters; every field is always present (zeros included) so the
+        rendering is byte-stable.
+        """
+        leases = self.active_leases()
+        stale = sum(1 for _, _, is_stale in leases if is_stale)
+        census: Dict[str, int] = {
+            "leases_active": len(leases) - stale,
+            "leases_stale": stale,
+        }
+        census.update(self.counters.as_dict())
+        return census
+
+    def describe_health(self) -> str:
+        """One-line ``key=value`` robustness summary (sorted, byte-stable)."""
+        census = self.health()
+        rendered = " ".join(f"{key}={census[key]}" for key in sorted(census))
+        return f"robustness [{self.backend}]: {rendered}"
 
     def clear(self) -> int:
         """Delete every entry of every version.  Returns entries removed.

@@ -55,6 +55,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "defrag"])
 
+    def test_store_serve_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["store", "serve"])
+        assert exc.value.code == 2
+
 
 class TestExecution:
     def test_list_runs(self, capsys):

@@ -70,7 +70,9 @@ class TestFaultPlan:
         assert plan.active()
 
     @pytest.mark.parametrize(
-        "spec", ["segfault=1.0", "sqlite.busy"], ids=["segfault", "sqlite.busy"]
+        "spec",
+        ["segfault=1.0", "sqlite.busy", "net.conn.refused"],
+        ids=["segfault", "sqlite.busy", "net.conn.refused"],
     )
     def test_parse_rejects_unknown_kind(self, spec):
         # A kind of a removed backend is unknown, not silently ignored.

@@ -19,12 +19,7 @@ from repro.common.errors import StoreError
 from repro.exec import Scheduler, SimJob, execute_job
 from repro.exec import context as exec_context
 from repro.exec.faults import FaultPlan, FaultyStore
-from repro.exec.stores import (
-    BACKENDS,
-    FileResultStore,
-    NetResultStore,
-    StoreServer,
-)
+from repro.exec.stores import FileResultStore
 from repro.sim.runner import alone_ipc, clear_alone_memo
 
 ACCESSES = 3_000
@@ -41,41 +36,14 @@ def _healthy_results(batch):
     return [execute_job(job) for job in batch]
 
 
-@pytest.fixture(params=sorted(BACKENDS))
-def store_factory(request, tmp_path):
-    """Factory for fresh store handles over one shared medium, per backend.
+@pytest.fixture
+def store_factory(tmp_path):
+    """Factory for fresh store handles over one shared directory.
 
     Chaos tests need several independent handles on the same store (a
-    warmer, the store under test, a rerun).  ``fs`` hands out stores
-    over one tmpdir; ``net`` hands out TCP clients of one live
-    fs-backed :class:`StoreServer`.  The factory's ``backend`` attribute
-    names the flavor.
+    warmer, the store under test, a rerun).
     """
-    backend = request.param
-    base = tmp_path / "store"
-    if backend == "net":
-        server = StoreServer(FileResultStore(base), port=0)
-        server.start()
-        host, port = server.address
-        handles = []
-
-        def make_net():
-            client = NetResultStore(f"{host}:{port}")
-            handles.append(client)
-            return client
-
-        make_net.backend = backend
-        yield make_net
-        for client in handles:
-            client.close()
-        server.close()
-        return
-
-    def make_local():
-        return BACKENDS[backend](base)
-
-    make_local.backend = backend
-    yield make_local
+    return lambda: FileResultStore(tmp_path / "store")
 
 
 class _DeadStore:
@@ -99,8 +67,8 @@ class _DeadStore:
 class _DyingStore:
     """Delegates to a real store until ``budget`` ops, then goes dark.
 
-    Models a store yanked mid-run — NFS mount dropped, disk full, server
-    gone — after some operations already succeeded.
+    Models a store yanked mid-run — NFS mount dropped, disk full — after
+    some operations already succeeded.
     """
 
     def __init__(self, store, budget: int) -> None:
@@ -297,7 +265,7 @@ class TestStoreFaultInjection:
         assert plan.store_put_crash == 0.5
         assert plan.store_get_corrupt == 1.0
         assert plan.store_lease_orphan == 0.25
-        assert plan.net_server_crash == 0.0
+        assert plan.corrupt == 0.0
         assert plan.active()
 
 
@@ -397,8 +365,7 @@ class TestRobustnessCLI:
         assert lines[0] == lines[1]
         assert (
             "robustness [fs]: lease_contentions=0 "
-            "leases_active=0 leases_stale=0 reconnects=0 "
-            "retried_requests=0 stale_takeovers=0" in lines[0]
+            "leases_active=0 leases_stale=0 stale_takeovers=0" in lines[0]
         )
 
     def test_cache_stats_counts_leases(self, tmp_path, monkeypatch, capsys):

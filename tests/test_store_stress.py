@@ -1,10 +1,8 @@
 """Multiprocess stress tests for the result store and single-flight.
 
 True cross-process concurrency (no mocks): several OS processes hammer
-one store with writes, validated reads, and maintenance at once, on
-every backend — for ``net``, the forked workers are genuine TCP
-clients of one live :class:`StoreServer` in the parent process.  The
-invariants:
+one store directory with writes, validated reads, and maintenance at
+once.  The invariants:
 
 * no lost entries — every written key is readable and valid at the end;
 * no torn reads — a concurrent reader sees a valid entry or a miss,
@@ -24,7 +22,7 @@ import time
 import pytest
 
 from repro.exec import Scheduler, SimJob, execute_job
-from repro.exec.stores import BACKENDS, FileResultStore, StoreServer
+from repro.exec.stores import FileResultStore
 
 ACCESSES = 2_000
 SEEDS = range(6)
@@ -36,27 +34,16 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(params=sorted(BACKENDS))
-def stress_target(request, tmp_path):
-    """``(backend, target)`` for each backend, forked-worker ready.
+@pytest.fixture
+def base(tmp_path):
+    """A store root created before any worker forks.
 
-    ``fs`` gets a pre-created tmpdir root.  ``net`` gets one live
-    fs-backed :class:`StoreServer` in the parent process; workers
-    receive its ``host:port`` address and contend over real TCP.
+    Pre-creating it means workers never race the one-time
+    initialization.
     """
-    backend = request.param
-    base = tmp_path / "store"
-    if backend == "net":
-        server = StoreServer(FileResultStore(base), port=0)
-        server.start()
-        host, port = server.address
-        yield backend, f"{host}:{port}"
-        server.close()
-        return
-    # Pre-create the store root before forking, so workers never race
-    # the one-time initialization.
-    BACKENDS[backend](base).stats()
-    yield backend, base
+    root = tmp_path / "store"
+    FileResultStore(root).stats()
+    return root
 
 
 def _jobs():
@@ -71,15 +58,15 @@ def _jobs():
 # ----------------------------------------------------------------------
 
 
-def _writer(backend, base, barrier):
-    store = BACKENDS[backend](base)
+def _writer(base, barrier):
+    store = FileResultStore(base)
     barrier.wait()
     for job in _jobs():
         store.put(job, execute_job(job))
 
 
-def _reader(backend, base, barrier, rounds=40):
-    store = BACKENDS[backend](base)
+def _reader(base, barrier, rounds=40):
+    store = FileResultStore(base)
     jobs = _jobs()
     barrier.wait()
     for _round in range(rounds):
@@ -89,8 +76,8 @@ def _reader(backend, base, barrier, rounds=40):
                 assert result.cores, "served a result with no cores"
 
 
-def _pruner(backend, base, barrier, rounds=15):
-    store = BACKENDS[backend](base)
+def _pruner(base, barrier, rounds=15):
+    store = FileResultStore(base)
     barrier.wait()
     for _round in range(rounds):
         store.prune(keep=len(list(SEEDS)))
@@ -120,8 +107,8 @@ class _CountingExecute:
         return execute_job(job)
 
 
-def _singleflight_scheduler(backend, base, marker_dir, report_dir, barrier):
-    store = BACKENDS[backend](base)
+def _singleflight_scheduler(base, marker_dir, report_dir, barrier):
+    store = FileResultStore(base)
     scheduler = Scheduler(
         jobs=1,
         store=store,
@@ -166,19 +153,18 @@ def _run_all(processes, timeout=120):
 # ----------------------------------------------------------------------
 
 
-def test_concurrent_writers_readers_pruners(stress_target):
-    backend, base = stress_target
+def test_concurrent_writers_readers_pruners(base):
     barrier = _mp.Barrier(5)
     processes = [
-        _mp.Process(target=_writer, args=(backend, base, barrier)),
-        _mp.Process(target=_writer, args=(backend, base, barrier)),
-        _mp.Process(target=_reader, args=(backend, base, barrier)),
-        _mp.Process(target=_reader, args=(backend, base, barrier)),
-        _mp.Process(target=_pruner, args=(backend, base, barrier)),
+        _mp.Process(target=_writer, args=(base, barrier)),
+        _mp.Process(target=_writer, args=(base, barrier)),
+        _mp.Process(target=_reader, args=(base, barrier)),
+        _mp.Process(target=_reader, args=(base, barrier)),
+        _mp.Process(target=_pruner, args=(base, barrier)),
     ]
     _run_all(processes)
 
-    store = BACKENDS[backend](base)
+    store = FileResultStore(base)
     # No lost entries: every key both writers raced over is present and
     # round-trips validation.
     for job in _jobs():
@@ -191,8 +177,7 @@ def test_concurrent_writers_readers_pruners(stress_target):
     assert store.active_leases() == []
 
 
-def test_singleflight_computes_each_job_exactly_once(stress_target, tmp_path):
-    backend, base = stress_target
+def test_singleflight_computes_each_job_exactly_once(base, tmp_path):
     marker_dir = tmp_path / "markers"
     report_dir = tmp_path / "reports"
     marker_dir.mkdir()
@@ -203,7 +188,7 @@ def test_singleflight_computes_each_job_exactly_once(stress_target, tmp_path):
     processes = [
         _mp.Process(
             target=_singleflight_scheduler,
-            args=(backend, base, marker_dir, report_dir, barrier),
+            args=(base, marker_dir, report_dir, barrier),
         )
         for _ in range(contenders)
     ]
@@ -229,6 +214,6 @@ def test_singleflight_computes_each_job_exactly_once(stress_target, tmp_path):
     assert sum(report["lease_contentions"] for report in reports) > 0
 
     # Nothing left behind: every lease was released.
-    store = BACKENDS[backend](base)
+    store = FileResultStore(base)
     assert store.active_leases() == []
     assert store.stats().entries == len(jobs)

@@ -1,13 +1,10 @@
-"""Backend contract tests for the result store.
+"""Contract tests for the filesystem result store.
 
-Every test in :class:`TestStoreContract` runs against every backend —
-the filesystem store and the networked store (a live in-test server on
-an ephemeral port, serving an fs store) must be observably
-interchangeable: same hit/miss behavior, same validation and quarantine
-semantics, same lease protocol, same maintenance operations.  Backend
-mechanics that cannot be expressed portably (fsync ordering, temp-file
-debris, lease-file races, reconnect machinery) get their own
-backend-specific classes below and in ``test_net_store.py``.
+:class:`TestStoreContract` pins the store's observable behaviour: hit
+and miss, validation and quarantine, the lease protocol, maintenance.
+The mechanics below it (fsync ordering, temp-file debris, lease-file
+races, the entry codec) get their own classes, and the cross-process
+races live in ``test_store_stress.py``.
 """
 
 from __future__ import annotations
@@ -24,40 +21,19 @@ import pytest
 from repro.common.errors import StoreError
 from repro.exec import SimJob, execute_job
 from repro.exec.faults import FaultPlan, FaultyStore, _violating
-from repro.exec.stores import (
-    BACKENDS,
-    FileResultStore,
-    NetResultStore,
-    from_url,
-    make_store,
-)
+from repro.exec.stores import FileResultStore, make_store
 from repro.exec.stores.base import STORE_BACKEND_ENV_VAR
-from repro.exec.stores.net import StoreServer
 
 ACCESSES = 4_000
 
 
-@pytest.fixture(params=sorted(BACKENDS))
-def any_store(request, tmp_path):
-    """One store per registered backend over the fs root ``tmp_path/store``.
+@pytest.fixture
+def store(tmp_path):
+    """A store rooted at ``tmp_path/store``.
 
-    The ``net`` flavor runs the full client/server stack: a live
-    :class:`StoreServer` serving that fs root on an ephemeral port, so
-    the shared contract exercises the wire protocol unchanged.  Either
-    way the entry files live under ``tmp_path/store``, where
-    :func:`_tear_entry` can damage them directly.
+    :func:`_tear_entry` damages its entry files there directly.
     """
-    local = FileResultStore(tmp_path / "store")
-    if request.param == "net":
-        server = StoreServer(local, port=0)
-        server.start()
-        host, port = server.address
-        client = NetResultStore(f"{host}:{port}")
-        yield client
-        client.close()
-        server.close()
-        return
-    yield local
+    return FileResultStore(tmp_path / "store")
 
 
 def _job(seed: int = 1) -> SimJob:
@@ -78,41 +54,41 @@ def _tear_entry(tmp_path, job: SimJob) -> None:
 
 
 # ----------------------------------------------------------------------
-# The portable contract (parametrized over every backend)
+# The store contract
 # ----------------------------------------------------------------------
 
 
 class TestStoreContract:
-    def test_miss_then_hit_round_trip(self, any_store):
+    def test_miss_then_hit_round_trip(self, store):
         job = _job()
-        assert any_store.get(job) is None
-        assert job not in any_store
+        assert store.get(job) is None
+        assert job not in store
         result = execute_job(job)
-        any_store.put(job, result)
-        assert job in any_store
-        assert any_store.get(job) == result
+        store.put(job, result)
+        assert job in store
+        assert store.get(job) == result
 
-    def test_truncated_entry_quarantined_never_served(self, any_store, tmp_path):
+    def test_truncated_entry_quarantined_never_served(self, store, tmp_path):
         job = _job()
-        any_store.put(job, execute_job(job))
+        store.put(job, execute_job(job))
         _tear_entry(tmp_path, job)
-        assert any_store.get(job) is None
-        assert any_store.stats().quarantined == 1
-        assert any_store.get(job) is None  # stays a miss, not resurrected
+        assert store.get(job) is None
+        assert store.stats().quarantined == 1
+        assert store.get(job) is None  # stays a miss, not resurrected
 
-    def test_semantic_corruption_quarantined(self, any_store):
+    def test_semantic_corruption_quarantined(self, store):
         """A well-formed entry with impossible counters must not be served.
 
         ``put`` does not validate, so the invalid copy is stored as is;
         the read is what must catch it.
         """
         job = _job()
-        any_store.put(job, _violating(execute_job(job)))
-        assert any_store.get(job) is None
-        assert any_store.stats().quarantined == 1
-        assert list(any_store.quarantined_entries())
+        store.put(job, _violating(execute_job(job)))
+        assert store.get(job) is None
+        assert store.stats().quarantined == 1
+        assert list(store.quarantined_entries())
 
-    def test_corrupt_entry_without_entry_reports_false(self, any_store, tmp_path):
+    def test_corrupt_entry_without_entry_reports_false(self, store, tmp_path):
         """Injected get-corruption of a missing entry neither fires nor writes.
 
         The fault stays armed for the first read that has an entry to
@@ -120,129 +96,125 @@ class TestStoreContract:
         """
         job = _job()
         plan = FaultPlan(store_get_corrupt=1.0, scratch=str(tmp_path / "m"))
-        faulty = FaultyStore(any_store, plan)
+        faulty = FaultyStore(store, plan)
         assert faulty.get(job) is None
         assert not plan.fired("store.get.corrupt", job.key())
-        assert any_store.stats().entries == 0
-        any_store.put(job, execute_job(job))
+        assert store.stats().entries == 0
+        store.put(job, execute_job(job))
         assert faulty.get(job) is None
         assert plan.fired("store.get.corrupt", job.key())
-        assert any_store.stats().quarantined == 1
+        assert store.stats().quarantined == 1
 
-    def test_put_after_quarantine_recovers(self, any_store, tmp_path):
+    def test_put_after_quarantine_recovers(self, store, tmp_path):
         job = _job()
         result = execute_job(job)
-        any_store.put(job, result)
+        store.put(job, result)
         _tear_entry(tmp_path, job)
-        assert any_store.get(job) is None
-        any_store.put(job, result)
-        assert any_store.get(job) == result
-        assert any_store.stats().quarantined == 1  # kept for post-mortem
+        assert store.get(job) is None
+        store.put(job, result)
+        assert store.get(job) == result
+        assert store.stats().quarantined == 1  # kept for post-mortem
 
-    def test_simulated_crash_mid_put_publishes_nothing(self, any_store, tmp_path):
+    def test_simulated_crash_mid_put_publishes_nothing(self, store, tmp_path):
         job = _job()
         plan = FaultPlan(store_put_crash=1.0, scratch=str(tmp_path / "m"))
         with pytest.raises(StoreError, match="injected store crash"):
-            FaultyStore(any_store, plan).put(job, execute_job(job))
-        assert any_store.get(job) is None
-        assert any_store.stats().entries == 0
+            FaultyStore(store, plan).put(job, execute_job(job))
+        assert store.get(job) is None
+        assert store.stats().entries == 0
         # The store stays fully usable afterwards.
-        any_store.put(job, execute_job(job))
-        assert any_store.get(job) is not None
+        store.put(job, execute_job(job))
+        assert store.get(job) is not None
 
-    def test_lease_acquire_contention_release(self, any_store):
+    def test_lease_acquire_contention_release(self, store):
         key = _job().key()
-        lease = any_store.acquire_lease(key, ttl=30.0)
+        lease = store.acquire_lease(key, ttl=30.0)
         assert lease is not None and not lease.takeover
-        assert any_store.acquire_lease(key, ttl=30.0) is None  # held
-        assert any_store.counters.lease_contentions == 1
-        assert any_store.renew_lease(lease)
-        assert any_store.release_lease(lease)
-        again = any_store.acquire_lease(key, ttl=30.0)
+        assert store.acquire_lease(key, ttl=30.0) is None  # held
+        assert store.counters.lease_contentions == 1
+        assert store.renew_lease(lease)
+        assert store.release_lease(lease)
+        again = store.acquire_lease(key, ttl=30.0)
         assert again is not None and not again.takeover
 
-    def test_stale_lease_taken_over(self, any_store, monkeypatch):
+    def test_stale_lease_taken_over(self, store, monkeypatch):
         import repro.exec.stores.fs as fs_mod
-        import repro.exec.stores.net as net_mod
 
         key = _job().key()
         # A foreign process takes the lease, then crashes (no heartbeat).
-        holder_mod = {"fs": fs_mod, "net": net_mod}[any_store.backend]
-        monkeypatch.setattr(holder_mod, "lease_owner_id", lambda: "ghost:999")
-        crashed = any_store.acquire_lease(key, ttl=0.05)
+        monkeypatch.setattr(fs_mod, "lease_owner_id", lambda: "ghost:999")
+        crashed = store.acquire_lease(key, ttl=0.05)
         monkeypatch.undo()
         assert crashed is not None and crashed.owner == "ghost:999"
         time.sleep(0.1)
-        taken = any_store.acquire_lease(key, ttl=30.0)
+        taken = store.acquire_lease(key, ttl=30.0)
         assert taken is not None and taken.takeover
         assert taken.owner != "ghost:999"
-        assert any_store.counters.stale_takeovers == 1
+        assert store.counters.stale_takeovers == 1
         # The displaced holder can no longer renew or release.
-        assert not any_store.renew_lease(crashed)
-        assert not any_store.release_lease(crashed)
+        assert not store.renew_lease(crashed)
+        assert not store.release_lease(crashed)
 
-    def test_active_leases_census(self, any_store):
+    def test_active_leases_census(self, store):
         keys = sorted(_job(seed).key() for seed in (1, 2))
-        any_store.acquire_lease(keys[0], ttl=30.0)
-        any_store.acquire_lease(keys[1], ttl=0.05)
+        store.acquire_lease(keys[0], ttl=30.0)
+        store.acquire_lease(keys[1], ttl=0.05)
         time.sleep(0.1)
         census = dict(
-            (key, is_stale) for key, _owner, is_stale in any_store.active_leases()
+            (key, is_stale) for key, _owner, is_stale in store.active_leases()
         )
         assert census == {keys[0]: False, keys[1]: True}
-        stats = any_store.stats()
+        stats = store.stats()
         assert stats.leases_active == 1
         assert stats.leases_stale == 1
 
-    def test_prune_sweeps_stale_leases_only(self, any_store):
+    def test_prune_sweeps_stale_leases_only(self, store):
         live_key = _job(1).key()
         stale_key = _job(2).key()
-        live = any_store.acquire_lease(live_key, ttl=30.0)
-        any_store.acquire_lease(stale_key, ttl=0.05)
+        live = store.acquire_lease(live_key, ttl=30.0)
+        store.acquire_lease(stale_key, ttl=0.05)
         time.sleep(0.1)
-        any_store.prune(keep=100)
-        held = {key for key, _owner, _stale in any_store.active_leases()}
+        store.prune(keep=100)
+        held = {key for key, _owner, _stale in store.active_leases()}
         assert held == {live_key}
-        assert any_store.release_lease(live)
+        assert store.release_lease(live)
 
-    def test_clear_drops_entries_and_leases(self, any_store):
+    def test_clear_drops_entries_and_leases(self, store):
         job = _job()
-        any_store.put(job, execute_job(job))
-        any_store.acquire_lease(job.key(), ttl=30.0)
-        assert any_store.clear() == 1
-        assert any_store.stats().entries == 0
-        assert any_store.active_leases() == []
+        store.put(job, execute_job(job))
+        store.acquire_lease(job.key(), ttl=30.0)
+        assert store.clear() == 1
+        assert store.stats().entries == 0
+        assert store.active_leases() == []
 
-    def test_prune_keep(self, any_store):
+    def test_prune_keep(self, store):
         result = execute_job(_job())
         for seed in range(5):
-            any_store.put(_job(seed), result)
-        assert any_store.prune(keep=2) == 3
-        assert any_store.stats().entries == 2
+            store.put(_job(seed), result)
+        assert store.prune(keep=2) == 3
+        assert store.stats().entries == 2
 
-    def test_health_is_deterministic_and_complete(self, any_store):
-        census = any_store.health()
+    def test_health_is_deterministic_and_complete(self, store):
+        census = store.health()
         assert census == {
             "lease_contentions": 0,
             "leases_active": 0,
             "leases_stale": 0,
-            "reconnects": 0,
-            "retried_requests": 0,
             "stale_takeovers": 0,
         }
-        line = any_store.describe_health()
+        line = store.describe_health()
         assert line == (
-            f"robustness [{any_store.backend}]: "
+            "robustness [fs]: "
             "lease_contentions=0 leases_active=0 leases_stale=0 "
-            "reconnects=0 retried_requests=0 stale_takeovers=0"
+            "stale_takeovers=0"
         )
 
-    def test_stats_names_backend(self, any_store):
-        assert any_store.stats().backend == any_store.backend
+    def test_stats_names_backend(self, store):
+        assert store.stats().backend == store.backend
 
 
 # ----------------------------------------------------------------------
-# Backend selection: make_store / from_url / $REPRO_STORE
+# Store selection: make_store / $REPRO_STORE
 # ----------------------------------------------------------------------
 
 
@@ -251,68 +223,47 @@ class TestBackendSelection:
         monkeypatch.delenv(STORE_BACKEND_ENV_VAR, raising=False)
         assert isinstance(make_store(), FileResultStore)
 
-    def test_spec_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "net://cachehost:4070")
+    def test_spec_overrides_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "redis://cachehost")
         assert isinstance(make_store("fs"), FileResultStore)
+        store = make_store(f"fs://{tmp_path / 'spec'}")
+        assert store.base == tmp_path / "spec"
 
-    @pytest.mark.parametrize("name", ["redis", "sqlite"])
+    @pytest.mark.parametrize("name", ["redis", "sqlite", "net"])
     def test_unknown_backend_rejected(self, name):
-        with pytest.raises(StoreError, match="accepted forms.*net://HOST:PORT"):
+        with pytest.raises(StoreError, match="accepted forms: fs, fs://, or fs://PATH"):
             make_store(name)
 
-    def test_url_roots_fs_store(self, tmp_path):
-        store = from_url(f"fs://{tmp_path / 'cache'}")
+    def test_url_roots_fs_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, f"fs://{tmp_path / 'cache'}")
+        store = make_store()
         assert isinstance(store, FileResultStore)
         assert store.base == tmp_path / "cache"
 
     def test_url_without_scheme_rejected(self):
         with pytest.raises(
-            StoreError, match=r"no scheme.*accepted forms.*fs://PATH"
+            StoreError,
+            match=r"unknown store backend '/no/scheme/here'.*accepted forms.*fs://PATH",
         ):
-            from_url("/no/scheme/here")
+            make_store("/no/scheme/here")
 
     @pytest.mark.parametrize(
-        "url", ["redis://somewhere", "sqlite:///x"], ids=["redis", "sqlite"]
+        "url",
+        ["redis://somewhere", "sqlite:///x", "net://cachehost:4070"],
+        ids=["redis", "sqlite", "net"],
     )
     def test_url_unknown_scheme_rejected(self, url):
         scheme = url.partition("://")[0]
         with pytest.raises(
             StoreError, match=rf"unknown store backend '{scheme}'.*accepted forms"
         ):
-            from_url(url)
+            make_store(url)
 
     def test_make_store_accepts_urls(self, tmp_path, monkeypatch):
         monkeypatch.delenv(STORE_BACKEND_ENV_VAR, raising=False)
         store = make_store(f"fs://{tmp_path / 'cache'}")
         assert isinstance(store, FileResultStore)
         assert store.base == tmp_path / "cache"
-
-    def test_url_builds_net_client(self):
-        store = from_url("net://cachehost:4070")
-        assert isinstance(store, NetResultStore)
-        assert (store.host, store.port) == ("cachehost", 4070)
-
-    def test_net_url_without_address_rejected(self):
-        with pytest.raises(
-            StoreError, match=r"missing an address.*net://HOST:PORT"
-        ):
-            from_url("net://")
-
-    def test_net_url_with_bad_port_rejected(self):
-        with pytest.raises(
-            StoreError, match=r"malformed net store port.*accepted forms"
-        ):
-            from_url("net://host:not-a-port")
-
-    def test_net_url_without_port_rejected(self):
-        with pytest.raises(StoreError, match=r"accepted forms"):
-            from_url("net://hostonly")
-
-    def test_bare_net_backend_name_rejected(self):
-        with pytest.raises(
-            StoreError, match=r"needs a server address.*net://HOST:PORT"
-        ):
-            make_store("net")
 
 
 # ----------------------------------------------------------------------
