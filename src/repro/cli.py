@@ -765,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
         help="simulation engine backend (default: REPRO_ENGINE, else vector "
-        "for runs that batch entirely and scalar for the rest); results are "
+        "for multicore runs and single-core runs that batch entirely, scalar "
+        "for prefetcher and other single-core runs); results are "
         "byte-identical either way",
     )
     run_parser.set_defaults(func=_cmd_run)
@@ -872,7 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
         help="simulation engine backend (default: REPRO_ENGINE, else vector "
-        "for runs that batch entirely and scalar for the rest); results are "
+        "for multicore runs and single-core runs that batch entirely, scalar "
+        "for prefetcher and other single-core runs); results are "
         "byte-identical either way",
     )
     sim_parser.set_defaults(func=_cmd_sim)

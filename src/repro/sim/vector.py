@@ -16,10 +16,15 @@ The backend is chosen per run by ``make_engine(...)``.  An explicit
 mode — the ``mode`` argument, else the ``REPRO_ENGINE`` environment
 variable (inherited by scheduler worker processes) — forces the class:
 ``"vector"`` builds a :class:`VectorEngine`, ``"scalar"`` a plain
-:class:`~repro.sim.engine.MulticoreEngine`.  With neither set, the
-default builds a :class:`VectorEngine` exactly when the whole run
-batches (a plain-LRU LLC, fixed-latency memory, no prefetcher) and the
-scalar engine otherwise.
+:class:`~repro.sim.engine.MulticoreEngine`.  With neither set, a run
+with a prefetcher takes the scalar engine, and of the rest:
+
+* every multicore run builds a :class:`VectorEngine`: a plain-LRU LLC
+  over fixed-latency memory batches entirely, any other LLC or memory
+  model replays on the hybrid path;
+* a single-core run builds a :class:`VectorEngine` only when it batches
+  entirely (plain LRU, fixed-latency memory) and the scalar engine
+  otherwise.
 
 Equivalence strategy (see ``docs/kernels.md`` for the full argument)
 --------------------------------------------------------------------
@@ -42,7 +47,8 @@ Equivalence strategy (see ``docs/kernels.md`` for the full argument)
   (NUcache, UCP, PIPP, ...), bandwidth-limited memory — runs on the
   *hybrid* path: private levels stay vectorized, and the surviving LLC
   accesses drive the real LLC object one at a time in the exact global
-  order the scalar engine would produce.
+  order the scalar engine would produce, ordered by the same
+  ``(clock, core_id)`` heap as the scalar engine's fast loop.
 * Features outside both paths (prefetchers, ``max_steps``, an active
   tracer or invariant checker) fall back to the scalar engine entirely;
   :attr:`VectorEngine.fallback_reason` records why.
@@ -52,6 +58,8 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
+from heapq import heapify, heappop, heapreplace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -127,16 +135,18 @@ def make_engine(
     :class:`~repro.sim.engine.MulticoreEngine` directly: the returned
     object has the same interface, and the vector backend guarantees
     byte-identical results (falling back internally where needed).
-    With no mode requested, runs that batch entirely (see
-    :func:`_lru_batchable`, and no prefetcher) get the vector backend;
-    every other run keeps the scalar loop.
+    With no mode requested, a run without a prefetcher gets the vector
+    backend when it has more than one core (batched or hybrid) or
+    batches entirely (see :func:`_lru_batchable`); every other run —
+    single-core non-LRU or bandwidth-memory runs and prefetcher runs —
+    keeps the scalar loop.
     """
     resolved = resolve_engine_mode(mode)
     if resolved is None:
-        batches = _lru_batchable(llc, memory) and (
+        vectorizes = (len(traces) > 1 or _lru_batchable(llc, memory)) and (
             prefetchers is None or all(p is None for p in prefetchers)
         )
-        resolved = "vector" if batches else "scalar"
+        resolved = "vector" if vectorizes else "scalar"
     cls = VectorEngine if resolved == "vector" else MulticoreEngine
     return cls(
         traces, llc, config, memory,
@@ -168,8 +178,9 @@ def _lru_batchable(
 #: the largest size requested, so kernel calls reuse allocations instead
 #: of page-faulting fresh ones and the pool stays bounded however many
 #: batch lengths a run sees.  :meth:`VectorEngine.run` empties it when
-#: it returns, so a finished run pins no scratch memory.  Results never
-#: alias pool memory.
+#: it returns, and the hybrid replay before it starts, so neither a
+#: finished run nor a replay pins scratch memory.  Results never alias
+#: pool memory.
 _POOL: Dict[Tuple[str, str], np.ndarray] = {}
 
 
@@ -569,43 +580,23 @@ class VectorEngine(MulticoreEngine):
 
         lat_llc = np.int64(config.latency.llc_hit)
         lat_mem = np.int64(config.latency.memory)
-        # Schedule base: clock *before* the LLC access at core-stream
-        # index p is p*gap + (private latencies of earlier accesses) +
-        # (LLC latencies of earlier LLC accesses); only the last term
-        # depends on outcomes, so everything else is precomputed here.
-        private_lat = self._private_latencies(levels)
-        base_parts: List[np.ndarray] = []
-        seg_lengths: List[int] = []
-        for core in self.cores:
-            lo, hi = int(bounds[core.core_id]), int(bounds[core.core_id + 1])
-            in_core = (llc_idx >= lo) & (llc_idx < hi)
-            pos = llc_idx[in_core] - lo
-            lat_c = private_lat[lo:hi]
-            prefix = np.cumsum(lat_c)
-            prefix -= lat_c
-            core_base = pos * np.int64(core.gap)
-            core_base += prefix[pos]
-            base_parts.append(core_base)
-            seg_lengths.append(int(pos.shape[0]))
-        base = np.concatenate(base_parts)
+        seg, base = self._llc_schedule(llc_idx, levels, bounds)
         n_llc = int(lanes.shape[0])
         # Unique, order-faithful sort keys: (sched, core, within-core
         # seq) packed into one int64.  sched strictly increases within a
         # core (every step advances the clock) so the seq term only
         # breaks zero-latency degeneracies, and the engine breaks clock
-        # ties across cores by lowest core id — min() returns the first
-        # minimum over the core list.  Unique keys make the (unstable)
-        # default argsort order-exact.
+        # ties across cores by lowest core id, as its (clock, core_id)
+        # schedule does.  Unique keys make the (unstable) default
+        # argsort order-exact.
         if n_llc == 0:
             self.fallback_reason = None
             return self._collect_from_levels(levels, bounds, {})
-        seq = np.concatenate(
-            [np.arange(length, dtype=np.int64) for length in seg_lengths]
-        )
-        seq_bits = max(1, (max(seg_lengths) - 1).bit_length())
-        seg_starts = np.minimum(
-            np.concatenate(([0], np.cumsum(seg_lengths)))[:-1], n_llc - 1
-        )
+        seg_lengths = np.diff(seg)
+        seq = np.arange(n_llc, dtype=np.int64)
+        seq -= np.repeat(seg[:-1], seg_lengths)
+        seq_bits = max(1, int(seg_lengths.max() - 1).bit_length())
+        seg_starts = np.minimum(seg[:-1], n_llc - 1)
         outcomes = np.zeros(n_llc, dtype=bool)  # initial guess: all miss
         converged = False
         order = np.arange(n_llc, dtype=np.int64)
@@ -657,93 +648,114 @@ class VectorEngine(MulticoreEngine):
 
         Private levels are already vectorized; the surviving accesses
         are replayed one at a time against ``self.llc`` /
-        ``self.memory`` with exact python-int clocks, in the same
-        (clock, core-id) order the scalar engine's min-scan produces.
-        Epoch hooks fire inside ``llc.access`` exactly as they do in a
-        scalar run.
+        ``self.memory`` with exact python-int clocks, in the scalar
+        engine's ``(clock, core_id)`` order.  As in its fast loop, a
+        heap holds one ``(clock, core_id, index)`` key per core with LLC
+        accesses left, and its root core is replayed until its clock
+        passes the next key; a lone core replays to its end with no heap
+        work.  Each field is one flat list in LLC order (``llc_idx`` is
+        grouped by core), a core's clock advances by per-access deltas,
+        and outcomes go to a ``bytearray`` and an ``array('q')`` read
+        back with ``np.frombuffer``.  Epoch hooks fire inside
+        ``llc.access`` exactly as they do in a scalar run.
         """
+        # The kernel is done: release its scratch before the replay's
+        # lists are built.  Those lists set the run's peak memory, so
+        # each numpy intermediate goes as soon as its list exists.
+        clear_buffer_pool()
         llc = self.llc
-        memory = self.memory
+        seg, base = self._llc_schedule(llc_idx, levels, bounds)
+        n_llc = int(llc_idx.shape[0])
+        # base grows within a core, so deltas are small non-negative
+        # ints; a core's first delta is its base (its clock starts at 0).
+        deltas = np.diff(base, prepend=0)
+        starts = seg[:-1][np.diff(seg) > 0]
+        deltas[starts] = base[starts]
+        delta = deltas.tolist()
+        del base, deltas
+        traces = [core.trace for core in self.cores]
+        block = all_blocks[llc_idx].tolist()
+        pc = np.concatenate([t.pcs for t in traces])[llc_idx].tolist()
+        write = np.concatenate([t.is_write for t in traces])[llc_idx].tolist()
+        hits = bytearray(n_llc)
+        lats = array("q", bytes(8 * n_llc))
+        ends = seg[1:].tolist()
+        heap = [(delta[i], cid, i) for cid, i in enumerate(seg[:-1].tolist())
+                if i < ends[cid]]
+        heapify(heap)
+        access = llc.access
+        service = self.memory.service
         lat_llc = self.config.latency.llc_hit
-        private_lat = self._private_latencies(levels)
-        ncores = len(self.cores)
-        per_core: List[Dict[str, object]] = []
-        for core in self.cores:
-            lo, hi = int(bounds[core.core_id]), int(bounds[core.core_id + 1])
-            mask = (llc_idx >= lo) & (llc_idx < hi)
-            pos = (llc_idx[mask] - lo)
-            lat_c = private_lat[lo:hi]
-            prefix = np.cumsum(lat_c)
-            prefix -= lat_c
-            base = (pos * np.int64(core.gap) + prefix[pos]).tolist()
-            pos_list = pos.tolist()
-            per_core.append({
-                "base": base,
-                "blocks": all_blocks[llc_idx[mask]].tolist(),
-                "pcs": core.trace.pcs[pos].tolist(),
-                "writes": core.trace.is_write[pos].tolist(),
-                "pos": pos_list,
-                "out": [0] * len(pos_list),
-                "hit": [False] * len(pos_list),
-            })
-        cursor = [0] * ncores
-        cum = [0] * ncores
-        remaining = sum(len(state["pos"]) for state in per_core)  # type: ignore[arg-type]
-        while remaining:
-            best_clock = -1
-            best_core = -1
-            for cid in range(ncores):
-                i = cursor[cid]
-                state = per_core[cid]
-                if i >= len(state["pos"]):  # type: ignore[arg-type]
-                    continue
-                clock = state["base"][i] + cum[cid]  # type: ignore[index]
-                if best_core < 0 or clock < best_clock:
-                    best_clock = clock
-                    best_core = cid
-            state = per_core[best_core]
-            i = cursor[best_core]
-            hit = llc.access(
-                state["blocks"][i], best_core,  # type: ignore[index]
-                state["pcs"][i], state["writes"][i],  # type: ignore[index]
-            )
-            latency = lat_llc if hit else memory.service(best_clock)
-            state["out"][i] = latency  # type: ignore[index]
-            state["hit"][i] = hit  # type: ignore[index]
-            cum[best_core] += latency
-            cursor[best_core] += 1
-            remaining -= 1
-        # Fold outcomes back into the level codes.
-        for cid, state in enumerate(per_core):
-            lo = int(bounds[cid])
-            pos_arr = np.asarray(state["pos"], dtype=np.int64)
-            hit_arr = np.asarray(state["hit"], dtype=bool)
-            levels[lo + pos_arr[hit_arr]] = 2
+        while heap:
+            clock, cid, i = heap[0]
+            if len(heap) > 1:
+                next_clock, next_id, _ = min(heap[1:3])
+                # The root stays first while (clock, cid) < the next key.
+                limit = next_clock if cid < next_id else next_clock - 1
+            else:
+                limit = math.inf
+            end = ends[cid]
+            while True:
+                if access(block[i], cid, pc[i], write[i]):
+                    hits[i] = 1
+                    latency = lat_llc
+                else:
+                    latency = service(clock)
+                lats[i] = latency
+                i += 1
+                if i == end:
+                    break
+                clock += latency + delta[i]
+                if clock > limit:
+                    break
+            if i < end:
+                heapreplace(heap, (clock, cid, i))
+            else:
+                heappop(heap)
+        del block, pc, write, delta
+        levels[llc_idx[np.frombuffer(hits, dtype=bool)]] = 2
         extra: Dict[str, float] = {}
         deli_hits = getattr(llc, "deli_hits", None)
         if deli_hits is not None:
             extra["deli_hits"] = float(deli_hits)
             extra["retentions"] = float(getattr(llc, "retentions", 0))
-        hybrid_lat = [
-            np.asarray(state["out"], dtype=np.int64) for state in per_core
-        ]
-        hybrid_pos = [
-            np.asarray(state["pos"], dtype=np.int64) for state in per_core
-        ]
         return self._collect_from_levels(
             levels, bounds, llc.occupancy_by_core(), extra=extra,
-            llc_lat_override=(hybrid_pos, hybrid_lat),
+            llc_latencies=(llc_idx, np.frombuffer(lats, dtype=np.int64)),
         )
 
-    # -- shared result assembly -------------------------------------------
+    # -- shared schedule and result assembly ------------------------------
 
-    def _private_latencies(self, levels: np.ndarray) -> np.ndarray:
-        """Per-access latency of L1/L2 hits (0 for LLC-bound accesses)."""
+    def _llc_schedule(
+        self, llc_idx: np.ndarray, levels: np.ndarray, bounds: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Core segments and schedule bases of the LLC accesses.
+
+        ``llc_idx`` ascends, so core ``c``'s LLC accesses are
+        ``llc_idx[seg[c]:seg[c + 1]]``, with ``seg`` from one
+        ``searchsorted``.  A core's clock just before the access at its
+        stream index ``pos`` is ``pos * gap`` plus the private latencies
+        of its earlier accesses (together ``base``) plus the LLC
+        latencies of its earlier LLC accesses.  Only that last term
+        depends on LLC outcomes.
+        """
+        seg = np.searchsorted(llc_idx, bounds)
+        counts = np.diff(seg)
+        core_start = np.repeat(bounds[:-1], counts)
+        pos = llc_idx - core_start
         latency = self.config.latency
-        private = np.zeros(levels.shape[0], dtype=np.int64)
-        private[levels == 0] = latency.l1_hit
-        private[levels == 1] = latency.l2_hit
-        return private
+        # Private latency per access: L1 and L2 hits cost theirs, and an
+        # LLC-bound access (level code 3 until resolved) costs 0 here.
+        private = np.array(
+            [latency.l1_hit, latency.l2_hit, 0, 0], dtype=np.int64
+        )[levels]
+        prefix = np.cumsum(private)
+        prefix -= private
+        base = prefix[llc_idx]
+        base -= prefix[core_start]
+        gaps = np.array([core.gap for core in self.cores], dtype=np.int64)
+        base += pos * np.repeat(gaps, counts)
+        return seg, base
 
     def _collect_from_levels(
         self,
@@ -751,7 +763,7 @@ class VectorEngine(MulticoreEngine):
         bounds: np.ndarray,
         occupancy: Dict[int, int],
         extra: Optional[Dict[str, float]] = None,
-        llc_lat_override: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None,
+        llc_latencies: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> SimResult:
         """Assemble a byte-identical ``SimResult`` from level codes.
 
@@ -759,22 +771,25 @@ class VectorEngine(MulticoreEngine):
         clock after access ``i`` is ``(i+1)*gap + cumsum(latency)[i]``,
         the warmup clock is the clock after the last warmup access, and
         the derived metrics use the exact same integer/float formulas
-        as :class:`~repro.sim.core.CoreModel`.
+        as :class:`~repro.sim.core.CoreModel`.  ``llc_latencies``, as
+        ``(llc_idx, latencies)``, overrides the level table's latency of
+        the LLC accesses (the hybrid replay's memory model may queue).
         """
         latency = self.config.latency
         lat_table = np.array(
             [latency.l1_hit, latency.l2_hit, latency.llc_hit, latency.memory],
             dtype=np.int64,
         )
+        lat_all = lat_table[levels]
+        if llc_latencies is not None:
+            llc_idx, llc_lat = llc_latencies
+            lat_all[llc_idx] = llc_lat
         results: List[CoreResult] = []
         for core in self.cores:
             cid = core.core_id
             lo, hi = int(bounds[cid]), int(bounds[cid + 1])
             lv = levels[lo:hi]
-            lat = lat_table[lv]
-            if llc_lat_override is not None:
-                pos_arr, lat_arr = llc_lat_override
-                lat[pos_arr[cid]] = lat_arr[cid]
+            lat = lat_all[lo:hi]
             gap = core.gap
             lat += np.int64(gap)
             clocks = np.cumsum(lat)

@@ -313,8 +313,9 @@ class TestProfile:
         )
 
         wrapper = ProfiledExecute(execute_job, tmp_path / "profiles")
-        # A nucache job keeps the scalar loop under the default engine,
-        # so engine frames lead its profile (an lru job batches).
+        # A single-core nucache job keeps the scalar loop under the
+        # default engine, so engine frames lead its profile (an lru job
+        # batches).
         job = SimJob.single("art_like", "nucache", 4_000)
         plain = execute_job(job).to_dict()
         profiled = wrapper(job).to_dict()

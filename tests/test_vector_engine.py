@@ -30,6 +30,7 @@ import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.basic import lru_factory
+from repro.check import fuzz
 from repro.check.oracle import make_reference
 from repro.common.config import CacheGeometry, paper_system_config
 from repro.common.errors import SimulationError
@@ -48,6 +49,9 @@ from repro.sim.vector import (
     make_engine,
     resolve_engine_mode,
 )
+from repro.workloads.mixes import mix_members
+
+from conftest import make_trace
 
 #: Edge-heavy (sets, ways) grid for kernel fuzzing.
 KERNEL_GEOMETRIES = [
@@ -201,6 +205,12 @@ ENGINE_CASES = [
     (["mcf_like", "milc_like", "gcc_like", "hmmer_like"], "ucp", "fixed", 0.25),
     (["art_like", "twolf_like"], "srrip", "fixed", 0.25),
     (["mcf_like", "milc_like"], "lru", "fixed", 0.0),
+    # Runs the default engine replays on the hybrid path.
+    (list(mix_members("mix8_1")), "nucache", "bandwidth", 0.25),
+    (list(mix_members("mix4_2")), "nucache-ucp", "fixed", 0.25),
+    (list(mix_members("mix4_3")), "pipp", "fixed", 0.25),
+    (list(mix_members("mix4_4")), "tadip", "fixed", 0.0),
+    (list(mix_members("mix4_5")), "ship", "fixed", 0.25),
 ]
 
 
@@ -252,6 +262,29 @@ class TestEngineEquivalence:
     def test_hybrid_path_taken_for_bandwidth_memory(self):
         _, _, vector = _run_both(["mcf_like", "milc_like"], "lru", "bandwidth", 0.25)
         assert vector.fallback_reason == "hybrid:memory_model"
+
+    @pytest.mark.parametrize(
+        "policy,memory_model", [("nucache", "fixed"), ("lru", "bandwidth")]
+    )
+    def test_tied_clocks_replay_in_scalar_order(self, policy, memory_model):
+        # Relocated copies of one gap-0 trace keep the four cores' clocks
+        # tied, so the hybrid replay's (clock, core_id) tie-break decides
+        # which core reaches the LLC (and the memory channel) first.
+        case = fuzz.FuzzCase(policy=policy, cores=4)
+        config = fuzz.system_config(case)
+        blocks = [(7 * i) % 96 for i in range(1500)]
+        pcs = [0x400000 + (i % 9) * 4 for i in range(1500)]
+        trace = make_trace(blocks, pcs=pcs, gap=0)
+        traces = [trace.relocated(core_id) for core_id in range(case.cores)]
+        results = []
+        for cls in (MulticoreEngine, VectorEngine):
+            engine = cls(
+                traces, make_llc(policy, config, case.seed), config,
+                _make_memory_model(config, memory_model),
+            )
+            results.append(json.dumps(engine.run().to_dict(), sort_keys=True))
+        assert engine.fallback_reason.startswith("hybrid:")
+        assert results[0] == results[1]
 
     def test_oracle_checked_scalar_matches_vector(self, monkeypatch):
         """Lockstep transitively: oracle validates scalar, vector equals it."""
@@ -312,22 +345,26 @@ class TestEngineSelection:
     """resolve_engine_mode / make_engine honor flag, env, and default."""
 
     @pytest.mark.parametrize(
-        "policy,memory_model,prefetcher,expected",
+        "policy,memory_model,prefetcher,cores,expected",
         [
-            ("lru", "fixed", None, VectorEngine),
-            ("nucache", "fixed", None, MulticoreEngine),
-            ("tadip", "fixed", None, MulticoreEngine),
-            ("lru", "bandwidth", None, MulticoreEngine),
-            ("lru", "fixed", "stride", MulticoreEngine),
+            ("lru", "fixed", None, 2, VectorEngine),
+            ("nucache", "fixed", None, 2, VectorEngine),
+            ("tadip", "fixed", None, 2, VectorEngine),
+            ("lru", "bandwidth", None, 2, VectorEngine),
+            ("lru", "fixed", "stride", 2, MulticoreEngine),
+            ("nucache", "fixed", None, 1, MulticoreEngine),
         ],
     )
     def test_default_batches_exactly_the_batchable_runs(
-        self, policy, memory_model, prefetcher, expected, monkeypatch
+        self, policy, memory_model, prefetcher, cores, expected, monkeypatch
     ):
+        # Every multicore run without a prefetcher replays on the vector
+        # engine (fully batched or hybrid); a single-core run does only
+        # when it batches entirely.
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         assert resolve_engine_mode() is None
-        config = paper_system_config(2)
-        traces = make_traces(["mcf_like", "milc_like"], 1_200, 1)
+        config = paper_system_config(cores)
+        traces = make_traces(["mcf_like", "milc_like"][:cores], 1_200, 1)
         prefetchers = None
         if prefetcher is not None:
             prefetchers = [make_prefetcher(prefetcher) for _ in traces]
@@ -383,6 +420,22 @@ class TestMemoryHygiene:
         runner.run_mix("mix4_1", "lru", accesses=3_000)
         (engine,) = built
         assert type(engine) is VectorEngine and engine.fallback_reason is None
+        assert not vector._POOL
+        assert all(core._blocks is None for core in engine.cores)
+
+    def test_default_nucache_mix_replays_without_scalar_lists(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        built = []
+
+        def recording_make_engine(*args, **kwargs):
+            built.append(make_engine(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "make_engine", recording_make_engine)
+        runner.run_mix("mix4_1", "nucache", accesses=3_000)
+        (engine,) = built
+        assert type(engine) is VectorEngine
+        assert engine.fallback_reason == "hybrid:llc_policy:nucache"
         assert not vector._POOL
         assert all(core._blocks is None for core in engine.cores)
 
