@@ -51,13 +51,12 @@ class LastLevelCache(ABC):
         return {}
 
     def snapshot_counters(self) -> dict:
-        """Current policy counters, for sampled tracing.
+        """Current policy counters, for tracing.
 
-        Read-only and cheap (no per-set walks): the engine's observer
-        calls this every few thousand steps while tracing, so a sequence
-        of snapshots reconstructs per-phase fill/hit/eviction rates
-        offline without touching the access path.  Organizations with
-        extra machinery (NUcache's DeliWay retention/promotion counters)
+        Read-only and cheap (no per-set walks): a traced engine run
+        records one snapshot when it ends (the ``llc.counters`` sample),
+        without touching the access path.  Organizations with extra
+        machinery (NUcache's DeliWay retention/promotion counters)
         extend the dict.
         """
         total = self.stats.total

@@ -26,10 +26,10 @@ a structured :class:`~repro.common.errors.InvariantViolation` carrying a
 serialized snapshot of the offending sets for postmortem.
 
 Cadence is controlled by the ``REPRO_CHECK`` environment variable
-(``off``/``epoch``/``access``), threaded through
-:meth:`repro.sim.engine.MulticoreEngine.run` via :func:`engine_checker`
-— pool workers inherit the variable through the environment, so checked
-mode works transparently under ``run --jobs N``.  See docs/checking.md.
+(``off``/``epoch``/``access``), threaded through both engines' ``run``
+via :func:`engine_checker` — pool workers inherit the variable through
+the environment, so checked mode works transparently under ``run --jobs
+N``.  See docs/checking.md.
 """
 
 from __future__ import annotations
@@ -627,12 +627,13 @@ def raise_violation(llc, violations: Sequence[str], context: str = "") -> None:
 class EngineChecker:
     """Runs the sanitizer over an engine run's LLC at the configured cadence.
 
-    ``access`` mode checks after every engine step; ``epoch`` mode checks
-    at NUcache selection-epoch boundaries (falling back to every
-    :data:`CHECK_INTERVAL_STEPS` steps for epoch-less organizations) and
-    once more when the run finishes.  Checks are strictly read-only, so
-    a checked run's simulated numbers are byte-identical to an unchecked
-    one — the only difference is that corruption raises
+    ``access`` mode checks after every engine step; ``epoch`` mode at
+    NUcache selection-epoch boundaries (:meth:`at_epoch`, called from
+    the controller's rotation hook on every engine path), or every
+    :data:`CHECK_INTERVAL_STEPS` steps for epoch-less organizations.
+    Both check once more when the run finishes.  Checks are strictly
+    read-only, so a checked run's simulated numbers are byte-identical
+    to an unchecked one — the only difference is that corruption raises
     :class:`InvariantViolation` instead of skewing results.
     """
 
@@ -640,10 +641,9 @@ class EngineChecker:
         self.llc = llc
         self.mode = mode
         self.checks_run = 0
-        controller = getattr(llc, "controller", None)
-        self._controller = controller
-        self._epochs_seen = (
-            0 if controller is None else controller.epochs_completed
+        #: Whether the cadence counts engine steps (:meth:`after_step`).
+        self.needs_steps = (
+            mode == MODE_ACCESS or getattr(llc, "controller", None) is None
         )
 
     def _check(self, context: str) -> None:
@@ -654,20 +654,16 @@ class EngineChecker:
 
     def after_step(self, steps: int) -> None:
         """Observe one engine step; check when the cadence says so."""
-        if self.mode == MODE_ACCESS:
-            self._check(f"engine step {steps}")
-            return
-        controller = self._controller
-        if controller is not None:
-            if controller.epochs_completed != self._epochs_seen:
-                self._epochs_seen = controller.epochs_completed
-                self._check(f"epoch {self._epochs_seen} boundary (step {steps})")
-        elif steps % CHECK_INTERVAL_STEPS == 0:
+        if self.mode == MODE_ACCESS or steps % CHECK_INTERVAL_STEPS == 0:
             self._check(f"engine step {steps}")
 
-    def finish(self, steps: int) -> None:
-        """Terminal check when the engine loop ends."""
-        self._check(f"end of run (step {steps})")
+    def at_epoch(self, epoch: int) -> None:
+        """Check at the boundary that completed selection epoch ``epoch``."""
+        self._check(f"epoch {epoch} boundary")
+
+    def finish(self) -> None:
+        """Terminal check when the engine run ends."""
+        self._check("end of run")
 
 
 def engine_checker(llc) -> Optional[EngineChecker]:

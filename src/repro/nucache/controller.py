@@ -74,6 +74,9 @@ class NUcacheController:
         #: off by default to keep memory flat on long runs).
         self.keep_profiles = False
         self.profile_history: List[EpochProfile] = []
+        #: Called with this controller at the end of every :meth:`rotate`;
+        #: an engine run's :class:`repro.sim.engine.RunWatch` sets it.
+        self.on_rotate: Optional[Callable[["NUcacheController"], None]] = None
         self.profiler.begin_epoch(0)
 
     # ------------------------------------------------------------------
@@ -203,4 +206,6 @@ class NUcacheController:
             1, int(self.config.effective_epoch_accesses * fraction)
         )
         self.profiler.begin_epoch(len(keys_in_order))
+        if self.on_rotate is not None:
+            self.on_rotate(self)
         return self._selected

@@ -7,9 +7,9 @@ Combines the two observability sinks a run leaves behind:
   outcomes (serial runs time the attempt itself; pooled runs time
   submission-to-settle, queue wait included);
 * the **trace directory** (written with ``run --trace``): per-process
-  JSONL event files carrying simulation *phase* spans — warmup vs.
-  measurement, NUcache selection rotations — that the journal cannot
-  see because they happen inside worker processes.
+  JSONL event files carrying each engine run's path and stage timings
+  and NUcache selection rotations, which the journal cannot see
+  because they happen inside worker processes.
 
 The journal section always renders; the phase section appears only when
 a trace directory exists for the run, and degrades gracefully when it is
@@ -70,9 +70,10 @@ def load_trace_records(trace_dir: Union[str, Path]) -> List[Dict[str, object]]:
 
 
 def _phase_totals(trace_records: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Aggregate phase durations and epoch counts from trace records."""
+    """Aggregate phase durations, engine paths and epochs from trace records."""
     phase_seconds: Dict[str, float] = {}
     phase_counts: Dict[str, int] = {}
+    paths: Dict[str, int] = {}
     epochs = 0
     job_seconds: List[float] = []
     for record in trace_records:
@@ -86,9 +87,13 @@ def _phase_totals(trace_records: Sequence[Dict[str, object]]) -> Dict[str, objec
             epochs += 1
         elif record.get("type") == "end" and name == "exec.job":
             job_seconds.append(float(record.get("dur", 0.0) or 0.0))
+        elif record.get("type") == "end" and name == "sim.run":
+            path = str(record.get("path", "?"))
+            paths[path] = paths.get(path, 0) + 1
     return {
         "phase_seconds": phase_seconds,
         "phase_counts": phase_counts,
+        "paths": paths,
         "epochs": epochs,
         "job_seconds": job_seconds,
     }
@@ -186,6 +191,11 @@ def render_timings(
                 f"  job wall   {sum(job_seconds):>8.2f}s total, "
                 f"{max(job_seconds):.2f}s max"
             )
+        paths: Dict[str, int] = totals["paths"]
+        if paths:
+            lines += ["", f"engine paths (from {sum(paths.values())} sim.run records)"]
+            for path in sorted(paths, key=lambda p: (-paths[p], p)):
+                lines.append(f"  {path:<32} {paths[path]:>6} runs")
     elif trace_records is not None:
         lines.append("")
         lines.append(

@@ -178,77 +178,45 @@ class MulticoreEngine:
             for core_id, trace in enumerate(traces)
         ]
 
-    def run(self, max_steps: Optional[int] = None) -> SimResult:
+    def run(self) -> SimResult:
         """Run until every core completes its first pass.
 
-        When tracing is enabled (see :mod:`repro.obs.trace`), phase
-        boundaries — per-core warmup completion, NUcache selection
-        epochs, first-pass completion — and sampled LLC counters are
-        emitted along the way.  The observer only *reads* simulator
-        state, so traced and untraced runs produce identical results;
-        with tracing disabled ``observer`` is ``None`` and the loop pays
-        one predicate per step.
-
-        When invariant checking is enabled (``REPRO_CHECK=epoch`` or
-        ``access``, see :mod:`repro.check.invariants`), the LLC's
-        structural invariants are sanitized at the configured cadence
-        and a violation raises
-        :class:`~repro.common.errors.InvariantViolation`.  The checker
-        is read-only too, so a checked run's results stay byte-identical
-        to an unchecked one; with ``REPRO_CHECK=off`` (the default)
-        ``checker`` is ``None`` and the fast loop is untouched.
-
-        Args:
-            max_steps: safety valve for tests; ``None`` means run to
-                completion (guaranteed to terminate since every step
-                advances some core's cursor).
+        A :class:`RunWatch` traces and checks the run when a tracer or
+        ``REPRO_CHECK`` is active.  Both only *read* simulator state, so
+        the results are identical; a failed check raises
+        :class:`~repro.common.errors.InvariantViolation`.
         """
-        from repro.check.invariants import engine_checker
-        from repro.obs.trace import active_tracer
+        with RunWatch(self) as watch:
+            self._run_loop(watch.step_checker)
+            watch.stage("loop")
+            return watch.finish(self._collect(), "scalar")
 
+    def _run_loop(self, checker) -> None:
+        """Step every pending core to the end of its first pass.
+
+        The schedule is ordered by ``(clock, core_id)``.  A per-step
+        ``checker`` gets the step count after every step of a ``min()``
+        scan over the pending cores.  Otherwise only the stepped core's
+        clock moves, so a heap keyed that way steps its root until the
+        root passes the next core's key: one heap operation per overtake
+        rather than a key call per core per access.  A lone pending core
+        (every single-core run; the tail of every multicore run) runs to
+        its completion with no heap work.
+        """
         cores = self.cores
         llc = self.llc
         memory = self.memory
-        tracer = active_tracer()
-        observer = None if tracer is None else _EngineObserver(self, tracer)
-        checker = engine_checker(llc)
         pending = [core for core in cores if not core.first_pass_done]
-        if observer is None and checker is None and max_steps is None:
-            self._run_fast(pending)
-            return self._collect()
-        steps = 0
-        while pending:
-            runner = min(pending, key=_clock_of)
-            runner.step(llc, memory)
-            if runner.first_pass_done:
-                pending = [core for core in cores if not core.first_pass_done]
-            steps += 1
-            if observer is not None:
-                observer.after_step(runner, steps)
-            if checker is not None:
-                checker.after_step(steps)
-            if max_steps is not None and steps >= max_steps:
-                break
-        if observer is not None:
-            observer.finish(steps)
         if checker is not None:
-            checker.finish(steps)
-        return self._collect()
-
-    def _run_fast(self, pending: List[CoreModel]) -> None:
-        """The uninstrumented loop, in the instrumented loop's step order.
-
-        ``min(pending, key=_clock_of)`` steps the earliest core, ties
-        going to the lowest core id, so the schedule is ordered by
-        ``(clock, core_id)``.  Only the stepped core's clock moves, so a
-        heap keyed that way steps its root until the root passes the
-        next core's key: one heap operation per overtake rather than a
-        key call per core per access.  A lone pending core (every
-        single-core run; the tail of every multicore run) runs to its
-        completion with no heap work.
-        """
-        llc = self.llc
-        memory = self.memory
+            steps = 0
+            while pending:
+                runner = min(pending, key=lambda core: core.clock)
+                runner.step(llc, memory)
+                if runner.first_pass_done:
+                    pending = [core for core in cores if not core.first_pass_done]
+                steps += 1
+                checker.after_step(steps)
+            return
         heap = [(core.clock, core.core_id, core) for core in pending]
         heapify(heap)
         while len(heap) > 1:
@@ -285,99 +253,109 @@ class MulticoreEngine:
             )
             for core in self.cores
         ]
-        extra: Dict[str, float] = {}
-        deli_hits = getattr(self.llc, "deli_hits", None)
-        if deli_hits is not None:
-            extra["deli_hits"] = float(deli_hits)
-            extra["retentions"] = float(getattr(self.llc, "retentions", 0))
         return SimResult(
             policy=self.llc.name,
             cores=core_results,
             llc_occupancy_by_core=self.llc.occupancy_by_core(),
-            llc_extra=extra,
+            llc_extra=self._llc_extra(),
         )
 
+    def _llc_extra(self) -> Dict[str, float]:
+        """NUcache's DeliWay counters for ``SimResult.llc_extra``."""
+        llc = self.llc
+        if getattr(llc, "deli_hits", None) is None:
+            return {}
+        return {"deli_hits": float(llc.deli_hits), "retentions": float(llc.retentions)}
 
-#: Engine steps between sampled LLC counter emissions while tracing.
-OBS_SAMPLE_STEPS = 4096
 
+class RunWatch:
+    """The trace records and invariant checks of one engine run.
 
-class _EngineObserver:
-    """Emits phase/counter trace records for one engine run.
-
-    Strictly read-only over the simulator: it watches per-core warmup
-    and first-pass transitions, polls the NUcache controller's epoch
-    counter, and samples the LLC's counter snapshot every
-    :data:`OBS_SAMPLE_STEPS` steps.  Allocated only when a tracer is
-    active, so untraced runs never pay for it.
+    Both engines open one per ``run()``; untraced and unchecked, it
+    holds nothing.  It records the run at run level (a ``sim.run`` span
+    whose end carries the ``path`` taken, ``sim.phase`` per stage, and
+    the finished cores and LLC), so tracing never moves a run to another
+    path.  NUcache epochs reach the tracer and an epoch-mode checker
+    through the controller's ``on_rotate`` hook, held for the run's
+    length.  A checker whose cadence counts engine steps is
+    :attr:`step_checker`, which only the scalar loop serves.
     """
 
-    def __init__(self, engine: "MulticoreEngine", tracer) -> None:
-        self.tracer = tracer
-        self.llc = engine.llc
-        self.span = tracer.span(
-            "sim.run",
-            policy=engine.llc.name,
-            cores=len(engine.cores),
-            accesses_per_core=engine.cores[0].trace_length,
-        )
-        self._in_warmup = {
-            core.core_id for core in engine.cores if core.warmup_accesses > 0
-        }
-        self._finished: set = set()
+    def __init__(self, engine: "MulticoreEngine") -> None:
+        from repro.check.invariants import engine_checker
+        from repro.obs.trace import active_tracer
+
+        self.engine = engine
+        self.tracer = active_tracer()
+        self.checker = engine_checker(engine.llc)
+        counts_steps = self.checker is not None and self.checker.needs_steps
+        #: The checker when its cadence counts engine steps, else ``None``.
+        self.step_checker = self.checker if counts_steps else None
+        self._epoch_checker = None if counts_steps else self.checker
+        self.span = None
+        self._controller = None
+        if self.tracer is not None:
+            self.span = self.tracer.span(
+                "sim.run", policy=engine.llc.name, cores=len(engine.cores),
+                accesses_per_core=engine.cores[0].trace_length,
+            )
+            self._stage_started = self.span.elapsed
         controller = getattr(engine.llc, "controller", None)
-        self._controller = controller
-        self._epochs_seen = 0 if controller is None else controller.epochs_completed
-        self._phase_started = self.span.elapsed
-
-    def _emit_phase(self, phase: str) -> None:
-        now = self.span.elapsed
-        self.tracer.event("sim.phase", phase=phase, dur=now - self._phase_started)
-        self._phase_started = now
-
-    def after_step(self, runner: CoreModel, steps: int) -> None:
-        """Observe one engine step (phase transitions, sampled counters)."""
-        core_id = runner.core_id
-        if core_id in self._in_warmup and (
-            runner.warmup_clock > 0 or runner.passes > 0
+        if controller is not None and (
+            self.tracer is not None or self._epoch_checker is not None
         ):
-            self._in_warmup.discard(core_id)
+            controller.on_rotate = self._on_rotate
+            self._controller = controller
+
+    def __enter__(self) -> "RunWatch":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        if self._controller is not None:
+            self._controller.on_rotate = None
+        if self.span is not None:
+            self.span.done(aborted=True)  # a no-op once finish() closed it
+
+    def _on_rotate(self, controller) -> None:
+        epoch = controller.epochs_completed
+        if self.tracer is not None:
             self.tracer.event(
-                "core.warmup_done", core=core_id, clock=runner.clock
-            )
-            if not self._in_warmup:
-                self._emit_phase("warmup")
-        if runner.first_pass_done and core_id not in self._finished:
-            self._finished.add(core_id)
-            self.tracer.event(
-                "core.first_pass",
-                core=core_id,
-                clock=runner.clock,
-                cycles=runner.cycles(),
-            )
-        controller = self._controller
-        if controller is not None and controller.epochs_completed != self._epochs_seen:
-            self._epochs_seen = controller.epochs_completed
-            self.tracer.event(
-                "nucache.epoch",
-                epoch=self._epochs_seen,
+                "nucache.epoch", epoch=epoch,
                 selected=len(controller.selected_slots),
             )
-        if steps % OBS_SAMPLE_STEPS == 0:
-            self.tracer.counter(
-                "llc.counters", steps, **self.llc.snapshot_counters()
+        if self._epoch_checker is not None:
+            self._epoch_checker.at_epoch(epoch)
+
+    def stage(self, name: str, **fields: object) -> None:
+        """Close stage ``name``: a ``sim.phase`` event timing it."""
+        if self.span is None:
+            return
+        now = self.span.elapsed
+        self.tracer.event(
+            "sim.phase", phase=name, dur=now - self._stage_started, **fields
+        )
+        self._stage_started = now
+
+    def finish(self, result: SimResult, path: str) -> SimResult:
+        """Check and record the finished run; returns ``result``."""
+        if self.checker is not None:
+            self.checker.finish()
+        if self.span is not None:
+            tracer = self.tracer
+            cores = self.engine.cores
+            for core in cores:
+                if core.warmup_accesses > 0:
+                    tracer.event(
+                        "core.warmup_done", core=core.core_id,
+                        clock=core.warmup_clock,
+                    )
+                tracer.event(
+                    "core.first_pass", core=core.core_id,
+                    clock=core.completion_clock, cycles=core.cycles(),
+                )
+            tracer.counter(
+                "llc.counters", sum(core.trace_length for core in cores),
+                **self.engine.llc.snapshot_counters(),
             )
-
-    def finish(self, steps: int) -> None:
-        """Close the run span after the loop ends."""
-        if self._in_warmup:
-            # max_steps cut the run short inside the warmup window.
-            self._in_warmup.clear()
-            self._emit_phase("warmup")
-        self._emit_phase("measure")
-        self.tracer.counter("llc.counters", steps, **self.llc.snapshot_counters())
-        self.span.done(steps=steps)
-
-
-def _clock_of(core: CoreModel) -> int:
-    return core.clock
+            self.span.done(path=path)
+        return result

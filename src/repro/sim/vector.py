@@ -49,9 +49,11 @@ Equivalence strategy (see ``docs/kernels.md`` for the full argument)
   accesses drive the real LLC object one at a time in the exact global
   order the scalar engine would produce, ordered by the same
   ``(clock, core_id)`` heap as the scalar engine's fast loop.
-* Features outside both paths (prefetchers, ``max_steps``, an active
-  tracer or invariant checker) fall back to the scalar engine entirely;
-  :attr:`VectorEngine.fallback_reason` records why.
+* Prefetchers, resumed cores and a check cadence that counts engine
+  steps (``REPRO_CHECK=access``, or ``epoch`` without an epoch
+  controller) fall back to the scalar loop entirely;
+  :attr:`VectorEngine.fallback_reason` records why.  Tracing and epoch
+  checks keep the path (:class:`~repro.sim.engine.RunWatch`).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from repro.common.addr import log2_exact
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
 from repro.prefetch.prefetchers import Prefetcher
-from repro.sim.engine import CoreResult, MulticoreEngine, SimResult
+from repro.sim.engine import CoreResult, MulticoreEngine, RunWatch, SimResult
 from repro.sim.memory import FixedLatencyMemory
 from repro.workloads.trace import Trace
 
@@ -459,33 +461,31 @@ class VectorEngine(MulticoreEngine):
     #: Why (and how far) the engine fell back on the last run.
     fallback_reason: Optional[str] = None
 
-    def run(self, max_steps: Optional[int] = None) -> SimResult:
+    def run(self) -> SimResult:
         """Run to completion; see the scalar engine for the contract."""
-        from repro.check.invariants import engine_checker
-        from repro.obs.trace import active_tracer
-
-        reason = None
-        if max_steps is not None:
-            reason = "scalar:max_steps"
-        elif active_tracer() is not None:
-            reason = "scalar:tracer"
-        elif engine_checker(self.llc) is not None:
-            reason = "scalar:checker"
-        elif any(core.prefetcher is not None for core in self.cores):
-            reason = "scalar:prefetchers"
-        elif any(core.cursor or core.passes or core.clock for core in self.cores):
-            reason = "scalar:resumed_cores"
-        if reason is not None:
-            self.fallback_reason = reason
-            return super().run(max_steps)
-        try:
-            return self._run_batched()
-        finally:
-            clear_buffer_pool()
+        with RunWatch(self) as watch:
+            reason = None
+            if watch.step_checker is not None:
+                reason = "scalar:checker"
+            elif any(core.prefetcher is not None for core in self.cores):
+                reason = "scalar:prefetchers"
+            elif any(core.cursor or core.passes or core.clock for core in self.cores):
+                reason = "scalar:resumed_cores"
+            if reason is not None:
+                self.fallback_reason = reason
+                self._run_loop(watch.step_checker)
+                watch.stage("loop")
+                return watch.finish(self._collect(), reason)
+            try:
+                result = self._run_batched(watch)
+            finally:
+                clear_buffer_pool()
+            watch.stage("collect")
+            return watch.finish(result, self.fallback_reason or "vector")
 
     # -- private-level batch simulation ---------------------------------
 
-    def _run_batched(self) -> SimResult:
+    def _run_batched(self, watch: RunWatch) -> SimResult:
         """Vectorize the private levels, then resolve the shared LLC."""
         config = self.config
         block_shift = log2_exact(config.block_bytes)
@@ -506,22 +506,30 @@ class VectorEngine(MulticoreEngine):
         levels = np.zeros(all_blocks.shape[0], dtype=np.int8)
         levels[miss1] = 1
         levels[llc_idx] = 3
+        watch.stage("private")
 
         llc = self.llc
         bounds = np.concatenate(([0], np.cumsum(lengths)))
         if _lru_batchable(llc, self.memory):
-            result = self._resolve_llc_vector(
+            occupancy, iterations = self._resolve_llc_vector(
                 all_blocks, core_of, llc_idx, levels, bounds
             )
-            if result is not None:
-                return result
+            watch.stage("solve", iterations=iterations)
+            if occupancy is not None:
+                self.fallback_reason = None
+                return self._collect_from_levels(levels, bounds, occupancy)
             self.fallback_reason = "hybrid:fixed_point_not_converged"
         else:
             self.fallback_reason = (
                 "hybrid:memory_model" if type(llc) is SetAssociativeCache
                 and llc._plain_lru else f"hybrid:llc_policy:{llc.name}"
             )
-        return self._resolve_llc_hybrid(all_blocks, llc_idx, levels, bounds)
+        latencies = self._resolve_llc_hybrid(all_blocks, llc_idx, levels, bounds)
+        watch.stage("replay")
+        return self._collect_from_levels(
+            levels, bounds, llc.occupancy_by_core(), extra=self._llc_extra(),
+            llc_latencies=(llc_idx, latencies),
+        )
 
     def _private_level(
         self, blocks: np.ndarray, core_of: np.ndarray, geometry
@@ -550,14 +558,16 @@ class VectorEngine(MulticoreEngine):
         llc_idx: np.ndarray,
         levels: np.ndarray,
         bounds: np.ndarray,
-    ) -> Optional[SimResult]:
+    ) -> Tuple[Optional[Dict[int, int]], int]:
         """Resolve a plain-LRU LLC entirely in numpy.
 
-        Single core: LLC accesses arrive in stream order, one kernel
-        call suffices.  Multiple cores: iterate the outcome/schedule
-        fixed point; ``None`` means it did not converge within
-        :data:`MAX_FIXED_POINT_ITERATIONS` (caller falls back — the LLC
-        object has not been touched).
+        Marks the LLC hits in ``levels``; returns the occupancy and the
+        fixed-point iteration count.  Single core: LLC accesses arrive in
+        stream order, one kernel call suffices (0 iterations).  Multiple
+        cores: iterate the outcome/schedule fixed point; occupancy
+        ``None`` means it did not converge within
+        :data:`MAX_FIXED_POINT_ITERATIONS` (caller falls back — nothing
+        has been touched).
         """
         config = self.config
         geometry = config.llc
@@ -574,9 +584,7 @@ class VectorEngine(MulticoreEngine):
                 lanes, tags, num_sets, geometry.ways, need_state=True
             )
             levels[llc_idx[hits]] = 2
-            occupancy = _occupancy_from_state(valid, None)
-            self.fallback_reason = None
-            return self._collect_from_levels(levels, bounds, occupancy)
+            return _occupancy_from_state(valid, None), 0
 
         lat_llc = np.int64(config.latency.llc_hit)
         lat_mem = np.int64(config.latency.memory)
@@ -590,17 +598,15 @@ class VectorEngine(MulticoreEngine):
         # schedule does.  Unique keys make the (unstable) default
         # argsort order-exact.
         if n_llc == 0:
-            self.fallback_reason = None
-            return self._collect_from_levels(levels, bounds, {})
+            return {}, 0
         seg_lengths = np.diff(seg)
         seq = np.arange(n_llc, dtype=np.int64)
         seq -= np.repeat(seg[:-1], seg_lengths)
         seq_bits = max(1, int(seg_lengths.max() - 1).bit_length())
         seg_starts = np.minimum(seg[:-1], n_llc - 1)
         outcomes = np.zeros(n_llc, dtype=bool)  # initial guess: all miss
-        converged = False
         order = np.arange(n_llc, dtype=np.int64)
-        for _ in range(MAX_FIXED_POINT_ITERATIONS):
+        for iteration in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
             llc_lat = np.where(outcomes, lat_llc, lat_mem)
             # Per-core exclusive cumulative LLC latency: global
             # exclusive cumsum rebased at each core's segment start.
@@ -619,11 +625,10 @@ class VectorEngine(MulticoreEngine):
             new_outcomes = np.empty(n_llc, dtype=bool)
             new_outcomes[order] = hits_sorted
             if np.array_equal(new_outcomes, outcomes):
-                converged = True
                 break
             outcomes = new_outcomes
-        if not converged:
-            return None
+        else:
+            return None, iteration
         hits_sorted, valid, owners = lru_batch(
             lanes[order], tags[order], num_sets, geometry.ways,
             cores=sub_cores[order],
@@ -631,9 +636,7 @@ class VectorEngine(MulticoreEngine):
         final = np.empty(n_llc, dtype=bool)
         final[order] = hits_sorted
         levels[llc_idx[final]] = 2
-        occupancy = _occupancy_from_state(valid, owners)  # type: ignore[arg-type]
-        self.fallback_reason = None
-        return self._collect_from_levels(levels, bounds, occupancy)
+        return _occupancy_from_state(valid, owners), iteration  # type: ignore[arg-type]
 
     # -- LLC resolution: hybrid path --------------------------------------
 
@@ -643,9 +646,11 @@ class VectorEngine(MulticoreEngine):
         llc_idx: np.ndarray,
         levels: np.ndarray,
         bounds: np.ndarray,
-    ) -> SimResult:
+    ) -> np.ndarray:
         """Drive the real LLC object in exact global order.
 
+        Marks the LLC hits in ``levels`` and returns each LLC access's
+        latency (the memory model may queue), aligned with ``llc_idx``.
         Private levels are already vectorized; the surviving accesses
         are replayed one at a time against ``self.llc`` /
         ``self.memory`` with exact python-int clocks, in the scalar
@@ -656,7 +661,8 @@ class VectorEngine(MulticoreEngine):
         work.  Each field is one flat list in LLC order (``llc_idx`` is
         grouped by core), a core's clock advances by per-access deltas,
         and outcomes go to a ``bytearray`` and an ``array('q')`` read
-        back with ``np.frombuffer``.  Epoch hooks fire inside
+        back with ``np.frombuffer``.  Epoch rotations, and the
+        controller's ``on_rotate`` hook with them, fire inside
         ``llc.access`` exactly as they do in a scalar run.
         """
         # The kernel is done: release its scratch before the replay's
@@ -712,17 +718,8 @@ class VectorEngine(MulticoreEngine):
                 heapreplace(heap, (clock, cid, i))
             else:
                 heappop(heap)
-        del block, pc, write, delta
         levels[llc_idx[np.frombuffer(hits, dtype=bool)]] = 2
-        extra: Dict[str, float] = {}
-        deli_hits = getattr(llc, "deli_hits", None)
-        if deli_hits is not None:
-            extra["deli_hits"] = float(deli_hits)
-            extra["retentions"] = float(getattr(llc, "retentions", 0))
-        return self._collect_from_levels(
-            levels, bounds, llc.occupancy_by_core(), extra=extra,
-            llc_latencies=(llc_idx, np.frombuffer(lats, dtype=np.int64)),
-        )
+        return np.frombuffer(lats, dtype=np.int64)
 
     # -- shared schedule and result assembly ------------------------------
 

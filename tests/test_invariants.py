@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.check import fuzz
+from repro.check import fuzz, invariants
 from repro.check.invariants import (
     CHECK_ENV_VAR,
     MODE_ACCESS,
@@ -23,6 +23,7 @@ from repro.common.errors import InvariantViolation, ReproError
 from repro.nucache.organization import _DeliEntry
 from repro.sim.engine import MulticoreEngine
 from repro.sim.policies import make_llc
+from repro.sim.vector import VectorEngine
 
 from conftest import make_trace
 
@@ -179,7 +180,7 @@ class TestViolationPayload:
 
 
 class TestEngineIntegration:
-    def _engine(self, policy="nucache", cores=1):
+    def _engine(self, policy="nucache", cores=1, cls=MulticoreEngine):
         case = fuzz.FuzzCase(policy=policy, cores=cores)
         config = fuzz.system_config(case)
         llc = make_llc(policy, config, seed=case.seed)
@@ -190,12 +191,13 @@ class TestEngineIntegration:
         # often, so the schedule's (clock, core_id) tie-break decides
         # which core reaches the LLC first.
         traces = [trace.relocated(core_id) for core_id in range(cores)]
-        return MulticoreEngine(traces, llc, config), llc
+        return cls(traces, llc, config), llc
 
     @pytest.mark.parametrize("cores", [1, 4], ids=["1-core", "4-core"])
     def test_checked_run_matches_unchecked(self, monkeypatch, cores):
-        """Checked runs take the instrumented ``min()`` loop, unchecked
-        ones the fast loop: both must schedule the cores identically."""
+        """Access-checked runs take the ``min()`` loop, unchecked and
+        epoch-checked NUcache runs the heap loop: both must schedule the
+        cores identically."""
         monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
         engine, _ = self._engine(cores=cores)
         baseline = engine.run().to_dict()
@@ -211,6 +213,24 @@ class TestEngineIntegration:
         llc.stats.total.hits += 1  # conservation break the checker must see
         with pytest.raises(InvariantViolation):
             engine.run()
+
+    @pytest.mark.parametrize("cls", [MulticoreEngine, VectorEngine])
+    def test_epoch_mode_checks_every_boundary_and_the_end(self, monkeypatch, cls):
+        monkeypatch.setenv(CHECK_ENV_VAR, MODE_EPOCH)
+        checkers = []
+
+        def recording_engine_checker(llc):
+            checkers.append(engine_checker(llc))
+            return checkers[-1]
+
+        monkeypatch.setattr(invariants, "engine_checker", recording_engine_checker)
+        engine, llc = self._engine(cores=4, cls=cls)
+        engine.run()
+        (checker,) = checkers
+        assert llc.controller.epochs_completed > 1
+        assert checker.checks_run == llc.controller.epochs_completed + 1
+        if cls is VectorEngine:
+            assert engine.fallback_reason == "hybrid:llc_policy:nucache"
 
     def test_epoch_mode_checks_epochless_llc_at_interval(self, monkeypatch):
         monkeypatch.setenv(CHECK_ENV_VAR, MODE_EPOCH)

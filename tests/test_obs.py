@@ -221,19 +221,22 @@ class TestInstrumentation:
         records = _records(tracer.path)
         names = {(r["type"], r["name"]) for r in records}
         assert ("begin", "sim.run") in names
-        assert ("end", "sim.run") in names
-        phases = {
+        (end,) = [r for r in records if r["type"] == "end"]
+        # A single-core NUcache run takes the scalar loop: one stage.
+        assert (end["name"], end["path"]) == ("sim.run", "scalar")
+        phases = [
             r["phase"] for r in records
             if r["type"] == "event" and r["name"] == "sim.phase"
-        }
-        assert phases == {"warmup", "measure"}
-        counters = [r for r in records if r["type"] == "counter"]
-        assert counters and all(r["name"] == "llc.counters" for r in counters)
-        # The counter value is the step count; snapshot fields (incl.
-        # the NUcache-specific ones) ride along as record fields.
-        assert counters[-1]["value"] > 0
-        assert "deli_hits" in counters[-1]
-        assert "misses" in counters[-1]
+        ]
+        assert phases == ["loop"]
+        # One final sample: the value is the accesses simulated, and the
+        # snapshot fields (incl. the NUcache-specific ones) ride along.
+        (counter,) = [r for r in records if r["type"] == "counter"]
+        assert counter["name"] == "llc.counters"
+        assert counter["value"] == 6_000
+        assert "deli_hits" in counter and "misses" in counter
+        epochs = [r["epoch"] for r in records if r["name"] == "nucache.epoch"]
+        assert epochs == list(range(1, counter["epochs"] + 1)) and epochs
 
     def test_traced_run_results_identical(self, tmp_path):
         from repro.sim.runner import run_single
@@ -303,7 +306,8 @@ class TestInstrumentation:
 
 
 class TestProfile:
-    def test_profiled_execute_dumps_and_merges(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_profiled_execute_dumps_and_merges(self, tmp_path, monkeypatch, engine):
         from repro.exec import SimJob, execute_job
         from repro.obs.profile import (
             ProfiledExecute,
@@ -312,10 +316,8 @@ class TestProfile:
             render_hot_table,
         )
 
+        monkeypatch.setenv("REPRO_ENGINE", engine)
         wrapper = ProfiledExecute(execute_job, tmp_path / "profiles")
-        # A single-core nucache job keeps the scalar loop under the
-        # default engine, so engine frames lead its profile (an lru job
-        # batches).
         job = SimJob.single("art_like", "nucache", 4_000)
         plain = execute_job(job).to_dict()
         profiled = wrapper(job).to_dict()
@@ -326,7 +328,9 @@ class TestProfile:
         stats = merge_profiles(tmp_path / "profiles")
         assert stats is not None
         rows = hot_functions(stats, top=5)
-        assert rows and any("engine" in row[0] for row in rows)
+        # Whichever engine runs the job, its run() leads the profile.
+        module = {"scalar": "sim/engine.py", "vector": "sim/vector.py"}[engine]
+        assert rows and any(row[0].startswith(module) for row in rows)
         table = render_hot_table(stats, top=5, title="unit")
         assert table.startswith("unit")
 
@@ -381,6 +385,24 @@ class TestTimings:
         assert "measure" in text and "(75%)" in text
         assert "1 NUcache selection rotations" in text
         assert "job wall" in text
+
+    def test_render_timings_counts_engine_paths(self):
+        from repro.exec.journal import RunSummary
+        from repro.obs.timings import render_timings
+
+        summary = RunSummary(run_id="r1", path=None, status="completed")
+        trace_records = [
+            {"type": "end", "name": "sim.run", "path": path}
+            for path in ("vector", "hybrid:llc_policy:nucache", "vector")
+        ] + [{"type": "end", "name": "sim.run", "aborted": True}]
+        lines = render_timings(summary, [], trace_records).splitlines()
+        start = lines.index("engine paths (from 4 sim.run records)")
+        rows = [line.split() for line in lines[start + 1:]]
+        assert rows == [
+            ["vector", "2", "runs"],
+            ["?", "1", "runs"],
+            ["hybrid:llc_policy:nucache", "1", "runs"],
+        ]
 
     def test_render_timings_without_trace(self):
         from repro.exec.journal import RunSummary
@@ -466,7 +488,12 @@ class TestCliObs:
         assert f"timings for {run_id}" in shown
         assert "scheduler wall" in shown
         assert "simulation phases" in shown
-        assert "warmup" in shown and "measure" in shown
+        # fig5's default runs all take the vector engine: LRU batches,
+        # NUcache mixes replay on the hybrid path.
+        for stage in ("private", "solve", "replay", "collect"):
+            assert stage in shown
+        assert "engine paths" in shown
+        assert "hybrid:llc_policy:nucache" in shown
 
     def test_profile_run_prints_hot_table(self, capsys, monkeypatch):
         from repro.cli import main

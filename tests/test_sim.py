@@ -163,14 +163,6 @@ class TestMulticoreEngine:
         for core in engine.cores:
             assert (core.passes, core.clock) == (1, core.completion_clock)
 
-    def test_max_steps_guard(self):
-        config = tiny_system_config(1)
-        engine = MulticoreEngine(
-            [make_trace(list(range(100)))], make_llc("lru", config), config
-        )
-        engine.run(max_steps=5)
-        assert engine.cores[0].cursor == 5
-
     def test_nucache_extra_reported(self):
         config = tiny_system_config(1)
         engine = MulticoreEngine(

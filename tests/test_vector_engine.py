@@ -31,10 +31,12 @@ import pytest
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.basic import lru_factory
 from repro.check import fuzz
+from repro.check.invariants import CHECK_ENV_VAR
 from repro.check.oracle import make_reference
 from repro.common.config import CacheGeometry, paper_system_config
-from repro.common.errors import SimulationError
+from repro.common.errors import InvariantViolation, SimulationError
 from repro.exec.job import SimJob
+from repro.obs.trace import Tracer, set_tracer
 from repro.prefetch.prefetchers import make_prefetcher
 from repro.sim import runner, vector
 from repro.sim.engine import MulticoreEngine
@@ -220,6 +222,22 @@ def _make_memory_model(config, model):
     return FixedLatencyMemory(config.latency.memory)
 
 
+class _LoggingMemory(FixedLatencyMemory):
+    """Fixed-latency memory that logs the clock of every request.
+
+    Not exactly a ``FixedLatencyMemory``, so a ``VectorEngine`` over it
+    replays on the hybrid path.
+    """
+
+    def __init__(self, latency):
+        super().__init__(latency)
+        self.clocks = []
+
+    def service(self, now):
+        self.clocks.append(now)
+        return super().service(now)
+
+
 def _run_both(members, policy, memory_model, warmup, accesses=3_000, seed=11):
     config = paper_system_config(len(members))
     traces = make_traces(members, accesses, seed)
@@ -286,6 +304,28 @@ class TestEngineEquivalence:
         assert engine.fallback_reason.startswith("hybrid:")
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize(
+        "mix,policy", [("mix4_1", "nucache"), ("mix2_1", "lru")]
+    )
+    def test_hybrid_replay_issues_the_scalar_memory_requests(self, mix, policy):
+        # Fixed-latency outcomes barely depend on the interleaving, so
+        # equal payloads cannot show a clock error in the replay; the
+        # clock of every memory request can.
+        members = list(mix_members(mix))
+        config = paper_system_config(len(members))
+        traces = make_traces(members, 3_000, 11)
+        runs = []
+        for cls in (MulticoreEngine, VectorEngine):
+            memory = _LoggingMemory(config.latency.memory)
+            engine = cls(
+                traces, make_llc(policy, config, 11), config, memory,
+                warmup_fraction=0.25,
+            )
+            runs.append((engine.run().to_dict(), memory.clocks))
+        assert engine.fallback_reason.startswith("hybrid:")
+        assert runs[0][1] and runs[0][1] == runs[1][1]
+        assert runs[0][0] == runs[1][0]
+
     def test_oracle_checked_scalar_matches_vector(self, monkeypatch):
         """Lockstep transitively: oracle validates scalar, vector equals it."""
         members, policy = ["mcf_like", "milc_like"], "nucache"
@@ -327,18 +367,100 @@ class TestFallbackTriggers:
         assert scalar.run().to_dict() == vector.run().to_dict()
         assert vector.fallback_reason == "scalar:prefetchers"
 
-    def test_max_steps_falls_back_to_scalar(self):
-        scalar, vector = self._engines()
-        assert scalar.run(max_steps=500).to_dict() == (
-            vector.run(max_steps=500).to_dict()
-        )
-        assert vector.fallback_reason == "scalar:max_steps"
+    def test_traced_fallback_records_one_run_with_its_reason(self, tmp_path):
+        _, vector = self._engines(prefetcher="stride")
+        _, records = _traced_run(vector, tmp_path)
+        ends = [(r["name"], r["path"]) for r in records if r["type"] == "end"]
+        assert ends == [("sim.run", "scalar:prefetchers")]
+        assert [r["phase"] for r in records if r["name"] == "sim.phase"] == ["loop"]
 
     def test_access_checker_falls_back_to_scalar(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "access")
         scalar, vector = self._engines()
         assert scalar.run().to_dict() == vector.run().to_dict()
         assert vector.fallback_reason == "scalar:checker"
+
+    def test_epoch_checker_without_controller_falls_back_to_scalar(
+        self, monkeypatch
+    ):
+        # An LRU LLC has no epochs: its checks count engine steps.
+        monkeypatch.setenv("REPRO_CHECK", "epoch")
+        scalar, vector = self._engines(members=("mcf_like", "milc_like"))
+        assert scalar.run().to_dict() == vector.run().to_dict()
+        assert vector.fallback_reason == "scalar:checker"
+
+
+def _nucache_mix():
+    """A 4-core NUcache VectorEngine run long enough for several epochs."""
+    config = paper_system_config(4)
+    traces = make_traces(list(mix_members("mix4_1")), 3_000, 11)
+    return VectorEngine(
+        traces, make_llc("nucache", config, 11), config, warmup_fraction=0.25
+    )
+
+
+def _traced_run(engine, tmp_path):
+    """Run ``engine`` under a tracer; returns its payload and the records."""
+    tracer = Tracer(tmp_path / "t.jsonl")
+    set_tracer(tracer)
+    try:
+        payload = engine.run().to_dict()
+    finally:
+        set_tracer(None)
+        tracer.close()
+    lines = tracer.path.read_text(encoding="utf-8").splitlines()
+    return payload, [json.loads(line) for line in lines]
+
+
+class TestObservedRuns:
+    """A traced or epoch-checked run takes the path an unobserved one takes."""
+
+    def test_traced_nucache_mix_stays_hybrid(self, tmp_path):
+        plain = _nucache_mix().run().to_dict()
+        engine = _nucache_mix()
+        traced, records = _traced_run(engine, tmp_path)
+        assert engine.fallback_reason == "hybrid:llc_policy:nucache"
+        assert traced == plain
+        ends = [(r["name"], r["path"]) for r in records if r["type"] == "end"]
+        assert ends == [("sim.run", "hybrid:llc_policy:nucache")]
+        phases = [r["phase"] for r in records if r["name"] == "sim.phase"]
+        assert phases == ["private", "replay", "collect"]
+        controller = engine.llc.controller
+        epochs = [r["epoch"] for r in records if r["name"] == "nucache.epoch"]
+        assert epochs == list(range(1, controller.epochs_completed + 1))
+        assert len(epochs) >= 2
+        assert controller.on_rotate is None  # held for the run only
+
+    def test_traced_unconverged_solve_reports_both_stages(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vector, "MAX_FIXED_POINT_ITERATIONS", 1)
+        config = paper_system_config(2)
+        traces = make_traces(["mcf_like", "milc_like"], 3_000, 11)
+        plain = MulticoreEngine(traces, make_llc("lru", config, 11), config).run()
+        engine = VectorEngine(traces, make_llc("lru", config, 11), config)
+        traced, records = _traced_run(engine, tmp_path)
+        assert engine.fallback_reason == "hybrid:fixed_point_not_converged"
+        assert traced == plain.to_dict()
+        stages = [
+            (r["phase"], r.get("iterations"))
+            for r in records if r["name"] == "sim.phase"
+        ]
+        assert stages == [
+            ("private", None), ("solve", 1), ("replay", None), ("collect", None)
+        ]
+
+    def test_epoch_checked_nucache_mix_stays_hybrid(self, monkeypatch):
+        plain = _nucache_mix().run().to_dict()
+        monkeypatch.setenv(CHECK_ENV_VAR, "epoch")
+        engine = _nucache_mix()
+        assert engine.run().to_dict() == plain
+        assert engine.fallback_reason == "hybrid:llc_policy:nucache"
+        corrupted = _nucache_mix()
+        corrupted.llc.stats.total.hits += 1
+        with pytest.raises(InvariantViolation) as caught:
+            corrupted.run()
+        assert caught.value.context == "epoch 1 boundary"
+        assert corrupted.fallback_reason == "hybrid:llc_policy:nucache"
+        assert corrupted.llc.controller.on_rotate is None
 
 
 class TestEngineSelection:
