@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import benchmark, generate_trace
 from repro.common.config import paper_system_config
-from repro.experiments.probe import llc_miss_profile, nextuse_profiles
+from repro.experiments.probe import baseline_probe
 from repro.workloads.spec_like import benchmark_class, benchmark_names
 
 
@@ -35,7 +35,7 @@ def show_catalog() -> None:
 
 
 def show_delinquency(name: str, accesses: int) -> None:
-    misses = llc_miss_profile(name, accesses)
+    misses, _distances = baseline_probe(name, accesses)
     total = sum(misses.values())
     print(f"{name}: {total} LLC misses from {len(misses)} distinct PCs")
     if not total:
@@ -54,16 +54,10 @@ def show_delinquency(name: str, accesses: int) -> None:
 def show_nextuse(name: str, accesses: int) -> None:
     config = paper_system_config(1)
     capacity = config.nucache.deli_ways * config.llc.num_sets
-    profiles = nextuse_profiles(name, accesses)
-    solo = [
-        profile.event_deltas[np.arange(profile.num_events), profile.event_pc]
-        for profile in profiles
-        if profile.num_events
-    ]
-    if not solo:
+    _misses, distances = baseline_probe(name, accesses)
+    if not distances.size:
         print(f"{name}: no post-eviction reuses observed")
         return
-    distances = np.concatenate(solo)
     print(f"{name}: {len(distances)} post-eviction reuses")
     print(f"  median solo Next-Use distance = {int(np.median(distances))} evictions")
     print(f"  DeliWay capacity (default split) = {capacity} lines")

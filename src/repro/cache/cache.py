@@ -145,8 +145,9 @@ class SetAssociativeCache(LastLevelCache):
 
     def occupancy_by_core(self) -> dict:
         counts: dict = {}
-        for _, line in self.valid_lines():
-            counts[line.core] = counts.get(line.core, 0) + 1
+        for cache_set in self.sets:
+            for core in cache_set.valid_cores():
+                counts[core] = counts.get(core, 0) + 1
         return counts
 
     @property

@@ -24,6 +24,7 @@ and take the generic path.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, List, Optional, Tuple
 
 from repro.cache.line import NO_PC_SLOT, CacheLine
@@ -175,6 +176,10 @@ class CacheSet:
     def core_of(self, way: int) -> int:
         """Core that filled ``way``."""
         return self._cores[way]
+
+    def valid_cores(self) -> Iterator[int]:
+        """Iterate the filling core of each valid line, in way order."""
+        return compress(self._cores, self._valid)
 
     def _line_view(self, way: int) -> CacheLine:
         """Materialize one way's state as a :class:`CacheLine` snapshot."""

@@ -232,9 +232,15 @@ class SystemConfig:
 _PAPER_BLOCK = 64
 
 
-def paper_llc_geometry(num_cores: int) -> CacheGeometry:
-    """LLC geometry used by the presets: 256 KB per core, 16-way."""
-    return CacheGeometry(size_bytes=256 * 1024 * num_cores, block_bytes=_PAPER_BLOCK, ways=16)
+def paper_llc_geometry(num_cores: float) -> CacheGeometry:
+    """LLC geometry used by the presets: 256 KB per core, 16-way.
+
+    A power-of-two fraction of a core is a smaller LLC (0.5: 128 KB).
+    """
+    size_bytes = 256 * 1024 * num_cores
+    if size_bytes != int(size_bytes):
+        raise ConfigError(f"{num_cores} cores give no whole LLC size in bytes")
+    return CacheGeometry(size_bytes=int(size_bytes), block_bytes=_PAPER_BLOCK, ways=16)
 
 
 def paper_system_config(num_cores: int = 1, **nucache_overrides: object) -> SystemConfig:

@@ -19,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.common.errors import ExecError
+from repro.common.config import paper_llc_geometry
+from repro.common.errors import ConfigError, ExecError
 
 #: Bump when simulator semantics change so stored results are invalidated.
 ENGINE_VERSION = 1
@@ -62,7 +63,8 @@ class SimJob:
         warmup_fraction: fraction of each trace used to warm caches.
         prefetcher: per-core prefetcher name, ``"none"`` to disable.
         memory_model: ``"fixed"`` or ``"bandwidth"`` (workload jobs only).
-        capacity_cores: single jobs: core count the LLC is sized for.
+        capacity_cores: single jobs: core count the LLC is sized for,
+            or a power-of-two fraction of one (0.5: a 128 KB LLC).
         overrides: sorted ``(name, value)`` NUcache config overrides.
     """
 
@@ -74,7 +76,7 @@ class SimJob:
     warmup_fraction: float = 0.25
     prefetcher: str = "none"
     memory_model: str = "fixed"
-    capacity_cores: int = 1
+    capacity_cores: Union[int, float] = 1
     overrides: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -88,10 +90,14 @@ class SimJob:
             )
         if self.accesses <= 0:
             raise ExecError(f"accesses must be positive, got {self.accesses}")
-        if self.capacity_cores <= 0:
-            raise ExecError(
-                f"capacity_cores must be positive, got {self.capacity_cores}"
-            )
+        capacity = self.capacity_cores
+        if isinstance(capacity, float) and capacity.is_integer():
+            capacity = int(capacity)  # keeps the keys of integral jobs
+        try:
+            paper_llc_geometry(capacity)
+        except ConfigError as exc:
+            raise ExecError(f"capacity_cores={capacity!r}: {exc}") from None
+        object.__setattr__(self, "capacity_cores", capacity)
         # Normalize so construction order of overrides never changes the key.
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(
@@ -153,7 +159,7 @@ class SimJob:
         policy: str,
         accesses: int,
         seed: Optional[int] = None,
-        capacity_cores: int = 1,
+        capacity_cores: Union[int, float] = 1,
         warmup_fraction: Optional[float] = None,
         prefetcher: str = "none",
         **overrides: object,
@@ -239,7 +245,7 @@ class SimJob:
             warmup_fraction=float(payload["warmup_fraction"]),
             prefetcher=str(payload["prefetcher"]),
             memory_model=str(payload["memory_model"]),
-            capacity_cores=int(payload["capacity_cores"]),
+            capacity_cores=payload["capacity_cores"],
             overrides=tuple((name, value) for name, value in payload["overrides"]),
         )
 
@@ -247,6 +253,8 @@ class SimJob:
         """Short human-readable label for progress reporting."""
         target = "+".join(self.members)
         extras = "".join(f" {name}={value}" for name, value in self.overrides)
+        if self.capacity_cores != 1:
+            extras = f" cap={self.capacity_cores}{extras}"
         return f"{self.kind}:{target}@{self.policy} n={self.accesses}{extras}"
 
 

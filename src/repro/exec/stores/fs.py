@@ -164,16 +164,16 @@ class FileResultStore:
         The temp file is fsynced before the rename and the directory
         entry after it, so a crash can never publish a torn entry — the
         worst case is a stranded ``.tmp`` file that :meth:`prune`
-        sweeps.  A concurrent ``prune`` sweeping the (momentarily empty)
-        fan-out bucket between our ``mkdir`` and the rename is retried.
+        sweeps.  A concurrent ``prune`` sweeping a (momentarily empty)
+        directory between our ``mkdir`` calls and the rename is retried.
         """
         path = self._path(job.key())
         payload = encode_entry(job, result)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         last_error: Optional[OSError] = None
         for _attempt in range(3):
-            path.parent.mkdir(parents=True, exist_ok=True)
             try:
+                path.parent.mkdir(parents=True, exist_ok=True)
                 with open(tmp, "wb") as handle:
                     handle.write(payload)
                     handle.flush()
@@ -182,8 +182,8 @@ class FileResultStore:
                 _fsync_path(path.parent)
                 return path
             except FileNotFoundError as exc:
-                # The bucket was rmdir'ed by a concurrent prune between
-                # mkdir and replace; recreate and retry.
+                # A concurrent prune rmdir'ed a directory we had just
+                # made; recreate and retry.
                 last_error = exc
                 continue
             finally:

@@ -13,16 +13,10 @@ calibrated there, mirroring the paper's choice of SPEC-vs-1MB).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.common.config import CacheGeometry, paper_system_config
 from repro.common.rng import DEFAULT_SEED
-from repro.experiments.base import ExperimentResult, scaled_accesses
+from repro.exec import SimJob
+from repro.experiments.base import ExperimentResult, scaled_accesses, sim_grid
 from repro.metrics.multicore import geometric_mean
-from repro.sim.memory import FixedLatencyMemory
-from repro.sim.policies import make_llc
-from repro.sim.runner import make_traces
-from repro.sim.vector import make_engine
 
 EXPERIMENT_ID = "fig15"
 TITLE = "NUcache gain vs LLC capacity (single core, same-size LRU baseline)"
@@ -32,31 +26,25 @@ SIZE_SWEEP_KB = (128, 256, 512, 1024)
 BENCHMARKS = ("art_like", "ammp_like", "soplex_like", "equake_like")
 
 
-def _run_at_size(name: str, policy: str, size_kb: int, accesses: int,
-                 seed: int) -> float:
-    base = paper_system_config(1)
-    config = replace(
-        base, llc=CacheGeometry(size_bytes=size_kb * 1024, block_bytes=64, ways=16)
-    )
-    traces = make_traces([name], accesses, seed)
-    llc = make_llc(policy, config, seed)
-    engine = make_engine(
-        traces, llc, config, FixedLatencyMemory(config.latency.memory),
-        warmup_fraction=0.25,
-    )
-    return engine.run().cores[0].ipc
-
-
 def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Sweep the LLC size for the delinquent benchmarks."""
     accesses = scaled_accesses(accesses)
+    # One single-core job per cell; capacity_cores counts the LLC in
+    # units of the default 256 KB, so the 128 KB cells take 0.5.
+    jobs = [
+        SimJob.single(name, policy, accesses, seed, capacity_cores=size_kb / 256)
+        for name in BENCHMARKS
+        for size_kb in SIZE_SWEEP_KB
+        for policy in ("lru", "nucache")
+    ]
+    results = iter(sim_grid(jobs))
     rows = []
     per_size = {size: [] for size in SIZE_SWEEP_KB}
     for name in BENCHMARKS:
         row: dict = {"benchmark": name}
         for size_kb in SIZE_SWEEP_KB:
-            lru_ipc = _run_at_size(name, "lru", size_kb, accesses, seed)
-            nuca_ipc = _run_at_size(name, "nucache", size_kb, accesses, seed)
+            lru_ipc = next(results).cores[0].ipc
+            nuca_ipc = next(results).cores[0].ipc
             ratio = nuca_ipc / lru_ipc if lru_ipc else 1.0
             row[f"{size_kb}KB"] = round(ratio, 4)
             per_size[size_kb].append(ratio)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.experiments.probe import llc_miss_profile
+from repro.experiments.probe import baseline_probe
 from repro.workloads.spec_like import benchmark_names
 
 EXPERIMENT_ID = "fig1"
@@ -25,7 +25,7 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> Experimen
     rows = []
     coverages_at_8 = []
     for name in benchmark_names():
-        misses = llc_miss_profile(name, accesses, seed)
+        misses, _distances = baseline_probe(name, accesses, seed)
         total = sum(misses.values())
         ranked = [count for _pc, count in misses.most_common()]
         row: dict = {"benchmark": name, "total_misses": total, "miss_pcs": len(ranked)}

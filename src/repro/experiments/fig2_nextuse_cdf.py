@@ -20,7 +20,7 @@ import numpy as np
 from repro.common.config import paper_system_config
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.experiments.probe import nextuse_profiles
+from repro.experiments.probe import baseline_probe
 from repro.workloads.spec_like import benchmark_names
 
 EXPERIMENT_ID = "fig2"
@@ -39,27 +39,11 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> Experimen
     )
     rows = []
     for name in benchmark_names():
-        profiles = nextuse_profiles(name, accesses, seed)
-        distances = [
-            profile.event_deltas[
-                np.arange(profile.num_events), profile.event_pc
-            ]
-            for profile in profiles
-            if profile.num_events
-        ]
-        row: dict = {"benchmark": name}
-        if not distances:
-            row["events"] = 0
-            for edge in BUCKET_EDGES:
-                row[f"<= {edge}"] = 0.0
-            rows.append(row)
-            continue
-        all_distances = np.concatenate(distances)
-        row["events"] = int(all_distances.shape[0])
+        _misses, distances = baseline_probe(name, accesses, seed)
+        row: dict = {"benchmark": name, "events": int(distances.size)}
         for edge in BUCKET_EDGES:
-            row[f"<= {edge}"] = round(
-                float(np.mean(all_distances <= edge)), 4
-            )
+            share = float(np.mean(distances <= edge)) if distances.size else 0.0
+            row[f"<= {edge}"] = round(share, 4)
         rows.append(row)
     notes = (
         f"DeliWay capacity at the default split is {deli_capacity} lines; "

@@ -118,7 +118,7 @@ def run_single(
     policy: str,
     accesses: int = DEFAULT_ACCESSES,
     seed: int = DEFAULT_SEED,
-    num_cores_capacity: int = 1,
+    num_cores_capacity: float = 1,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     prefetcher: str = "none",
     **nucache_overrides: object,

@@ -177,3 +177,8 @@ class TestConfigTable:
 
     def test_llc_geometry_helper(self):
         assert paper_llc_geometry(8).num_sets == 2048
+        assert paper_llc_geometry(0.5).size_bytes == 128 * 1024
+        assert paper_llc_geometry(2.0) == paper_llc_geometry(2)
+        for bad in (0.3, 0.75, 3):
+            with pytest.raises(ConfigError):
+                paper_llc_geometry(bad)

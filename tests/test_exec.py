@@ -87,6 +87,28 @@ class TestSimJob:
         assert clone == job
         assert clone.key() == job.key()
 
+    def test_capacity_fraction_keeps_integral_keys(self):
+        alone = SimJob.alone("art_like", 2, 10_000)
+        assert alone.key() == (
+            "b54c927e9850df38afb442803aba11571b2628a51e1b7542de935dc18617c563"
+        )
+        assert SimJob.single("art_like", "lru", 10_000, capacity_cores=2.0) == alone
+        whole = SimJob.single("art_like", "nucache", 10_000, capacity_cores=1.0)
+        assert whole.key() == SimJob.single("art_like", "nucache", 10_000).key()
+        assert whole.to_dict()["capacity_cores"] == 1
+        half = SimJob.single("art_like", "nucache", 10_000, capacity_cores=0.5)
+        clone = SimJob.from_dict(json.loads(json.dumps(half.to_dict())))
+        assert clone == half
+        assert clone.capacity_cores == 0.5
+        assert clone.key() == half.key() != whole.key()
+        assert whole.describe() == "single:art_like@nucache n=10000"
+        assert half.describe() == "single:art_like@nucache n=10000 cap=0.5"
+
+    @pytest.mark.parametrize("capacity", [3, 0.75, 0.3, 0, -1])
+    def test_capacity_without_a_power_of_two_llc_is_refused(self, capacity):
+        with pytest.raises(ExecError):
+            SimJob.single("art_like", "lru", 10_000, capacity_cores=capacity)
+
     def test_validation(self):
         with pytest.raises(ExecError):
             SimJob(members=(), policy="lru", accesses=10, seed=0)

@@ -9,8 +9,13 @@ suite.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.config import CacheGeometry, paper_system_config
+from repro.common.rng import DEFAULT_SEED
+from repro.exec import SimJob
 from repro.exec import context as exec_context
 from repro.experiments import (
     fig1_delinquent_pcs,
@@ -21,7 +26,13 @@ from repro.experiments import (
     fig10_hardware_ablations,
     fig12_prefetch,
     fig14_phases,
+    fig15_llc_size,
 )
+from repro.experiments.base import sim_grid
+from repro.sim.memory import FixedLatencyMemory
+from repro.sim.policies import make_llc
+from repro.sim.runner import make_traces
+from repro.sim.vector import make_engine
 
 TINY = 15_000
 
@@ -72,6 +83,33 @@ class TestExtensionDrivers:
             for prefetcher in fig12_prefetch.PREFETCHERS:
                 assert f"{prefetcher}:gain" in row
 
+    def test_fig15_cells_equal_direct_engines(self):
+        """Each scheduled cell is the engine fig15 once built itself."""
+
+        def direct(name, size_kb, policy):
+            config = replace(paper_system_config(1), llc=CacheGeometry(
+                size_bytes=size_kb * 1024, block_bytes=64, ways=16))
+            engine = make_engine(
+                make_traces([name], TINY, DEFAULT_SEED),
+                make_llc(policy, config, DEFAULT_SEED), config,
+                FixedLatencyMemory(config.latency.memory), warmup_fraction=0.25,
+            )
+            return engine.run()
+
+        result = fig15_llc_size.run(accesses=TINY)
+        for row in result.rows[:-1]:
+            name = row["benchmark"]
+            for size_kb in fig15_llc_size.SIZE_SWEEP_KB:
+                # Store hits: fig15 just resolved these jobs.
+                lru, nuca = sim_grid([
+                    SimJob.single(name, policy, TINY, capacity_cores=size_kb / 256)
+                    for policy in ("lru", "nucache")
+                ])
+                assert lru.to_dict() == direct(name, size_kb, "lru").to_dict()
+                assert nuca.to_dict() == direct(name, size_kb, "nucache").to_dict()
+                ratio = nuca.cores[0].ipc / lru.cores[0].ipc
+                assert row[f"{size_kb}KB"] == round(ratio, 4)
+
     def test_fig14_three_configurations(self):
         result = fig14_phases.run(accesses=4 * TINY)
         assert len(result.rows) == 3
@@ -82,7 +120,8 @@ class TestExtensionDrivers:
 class TestDriversResolveThroughTheStore:
     @pytest.mark.parametrize(
         "driver",
-        [fig9_selection_ablation, fig10_hardware_ablations, fig12_prefetch],
+        [fig9_selection_ablation, fig10_hardware_ablations, fig12_prefetch,
+         fig15_llc_size],
         ids=lambda driver: driver.EXPERIMENT_ID,
     )
     def test_rerun_is_served_from_the_store(self, driver):

@@ -344,6 +344,35 @@ class TestFileStoreDurability:
         assert path.is_file()
         assert store.get(job) is not None
 
+    def test_put_survives_version_dir_removal_between_mkdir_levels(
+        self, tmp_path, monkeypatch
+    ):
+        """A prune rmdir'ing the fresh, empty version directory after
+        ``mkdir`` made it but before it made the bucket is retried."""
+        from pathlib import Path
+
+        store = FileResultStore(tmp_path / "store")
+        job = _job()
+        result = execute_job(job)
+        bucket = store._path(job.key()).parent
+        real_mkdir = Path.mkdir
+        swept = []
+
+        def racy_mkdir(self, mode=0o777, parents=False, exist_ok=False):
+            # ``Path.mkdir(parents=True)`` makes the missing version
+            # directory, then calls ``self.mkdir(parents=False)`` for
+            # the bucket: the moment a prune can sweep the former.
+            if self == bucket and not parents and not swept:
+                swept.append(self)
+                os.rmdir(store.root)  # the concurrent prune's sweep
+            return real_mkdir(self, mode, parents=parents, exist_ok=exist_ok)
+
+        monkeypatch.setattr(Path, "mkdir", racy_mkdir)
+        path = store.put(job, result)
+        assert swept == [bucket]
+        assert path.is_file()
+        assert store.get(job) == result
+
     def test_put_raises_store_error_when_race_never_resolves(
         self, tmp_path, monkeypatch
     ):
