@@ -16,12 +16,13 @@ Usage::
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import numpy as np
 
 from repro import benchmark, generate_trace
 from repro.common.config import paper_system_config
-from repro.experiments.probe import baseline_probe
+from repro.experiments.probe import baseline_probes
 from repro.workloads.spec_like import benchmark_class, benchmark_names
 
 
@@ -35,7 +36,8 @@ def show_catalog() -> None:
 
 
 def show_delinquency(name: str, accesses: int) -> None:
-    misses, _distances = baseline_probe(name, accesses)
+    (probe,) = baseline_probes([name], accesses)
+    misses = Counter(probe.misses)
     total = sum(misses.values())
     print(f"{name}: {total} LLC misses from {len(misses)} distinct PCs")
     if not total:
@@ -54,7 +56,8 @@ def show_delinquency(name: str, accesses: int) -> None:
 def show_nextuse(name: str, accesses: int) -> None:
     config = paper_system_config(1)
     capacity = config.nucache.deli_ways * config.llc.num_sets
-    _misses, distances = baseline_probe(name, accesses)
+    (probe,) = baseline_probes([name], accesses)
+    distances = np.asarray(probe.distances)
     if not distances.size:
         print(f"{name}: no post-eviction reuses observed")
         return

@@ -28,11 +28,10 @@ from typing import List, Optional, Sequence
 
 from repro.common.errors import ExecError, RunInterrupted
 from repro.exec.faults import FaultPlan, FaultyExecute, FaultyStore
-from repro.exec.job import SimJob, execute_job
+from repro.exec.job import JobResult, SimJob, execute_job
 from repro.exec.journal import RunJournal
 from repro.exec.scheduler import BatchReport, ProgressHook, Scheduler
 from repro.exec.stores import FileResultStore, make_store
-from repro.sim.engine import SimResult
 
 #: Environment variable giving the default worker count.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -174,7 +173,7 @@ def get_scheduler(progress: Optional[ProgressHook] = None) -> Scheduler:
 
 def run_jobs(
     batch: Sequence[SimJob], label: Optional[str] = None
-) -> List[SimResult]:
+) -> List[JobResult]:
     """Resolve a batch of jobs under the process-wide defaults.
 
     This is the call every experiment grid funnels through: cache-first,

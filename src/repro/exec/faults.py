@@ -45,9 +45,9 @@ from typing import Dict, Optional
 
 from repro.common.errors import ExecError, StoreError
 from repro.common.rng import make_rng
-from repro.exec.job import SimJob, execute_job
+from repro.exec.job import JobResult, SimJob, execute_job
 from repro.exec.stores import default_store_dir
-from repro.sim.engine import SimResult
+from repro.sim.engine import ProbeResult
 
 #: Environment variable holding the fault spec (``kind=rate,...``).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -215,12 +215,15 @@ class FaultyExecute:
         return self.execute(job)
 
 
-def _violating(result: SimResult) -> SimResult:
-    """Copy of ``result`` whose first core breaks the engine invariants.
+def _violating(result: JobResult) -> JobResult:
+    """Copy of ``result`` that breaks the engine invariants.
 
-    ``llc_misses = llc_accesses + 1`` is well-formed on every codec, so
-    only read-side validation can catch it.
+    A simulation's first core gets ``llc_misses = llc_accesses + 1``; a
+    probe gets a negative Next-Use distance.  Both are well-formed on
+    every codec, so only read-side validation can catch them.
     """
+    if isinstance(result, ProbeResult):
+        return replace(result, distances=[*result.distances, -1])
     first = result.cores[0]
     broken = replace(first, llc_misses=first.llc_accesses + 1)
     return replace(result, cores=[broken, *result.cores[1:]])

@@ -1,8 +1,9 @@
 """Simulation job specs: frozen, hashable, content-addressed.
 
 A :class:`SimJob` is a complete description of one deterministic
-simulation — everything :func:`repro.sim.runner.run_workload` or
-:func:`~repro.sim.runner.run_single` needs to reproduce it bit-for-bit.
+simulation — everything :func:`repro.sim.runner.run_workload`,
+:func:`~repro.sim.runner.run_single` or
+:func:`~repro.sim.runner.run_probe` needs to reproduce it bit-for-bit.
 Because the simulator is a pure function of this spec, the job's content
 hash (:meth:`SimJob.key`) can address a persistent result store: two
 invocations that build the same job get the same result without
@@ -23,15 +24,20 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.common.config import paper_llc_geometry
 from repro.common.errors import ConfigError, ExecError
+from repro.sim.engine import ProbeResult, SimResult
 
 #: Bump when simulator semantics change so stored results are invalidated.
 ENGINE_VERSION = 1
+
+#: What a job resolves to: a probe job's :class:`ProbeResult`, else a
+#: :class:`SimResult`.
+JobResult = Union[SimResult, ProbeResult]
 
 #: Scalar types allowed in NUcache overrides (must survive a JSON round
 #: trip exactly for keys to be stable).
 _SCALAR_TYPES = (bool, int, float, str)
 
-_KINDS = ("workload", "single")
+_KINDS = ("workload", "single", "probe")
 
 
 def _normalized_overrides(
@@ -52,11 +58,13 @@ class SimJob:
 
     Attributes:
         kind: ``"workload"`` (one trace per member against a shared LLC
-            sized for ``len(members)`` cores) or ``"single"`` (an alone
+            sized for ``len(members)`` cores), ``"single"`` (an alone
             run: one benchmark monopolizing an LLC sized for
-            ``capacity_cores`` cores).
+            ``capacity_cores`` cores) or ``"probe"`` (the baseline probe
+            of :func:`repro.sim.runner.run_probe`, whose result is a
+            :class:`~repro.sim.engine.ProbeResult`).
         members: benchmark names, one per core (exactly one for
-            ``"single"`` jobs).
+            ``"single"`` and ``"probe"`` jobs).
         policy: LLC policy name (see :func:`repro.sim.policies.make_llc`).
         accesses: trace length per core.
         seed: root RNG seed.
@@ -84,9 +92,9 @@ class SimJob:
             raise ExecError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not self.members:
             raise ExecError("a job needs at least one benchmark member")
-        if self.kind == "single" and len(self.members) != 1:
+        if self.kind != "workload" and len(self.members) != 1:
             raise ExecError(
-                f"single jobs take exactly one member, got {self.members!r}"
+                f"{self.kind} jobs take exactly one member, got {self.members!r}"
             )
         if self.accesses <= 0:
             raise ExecError(f"accesses must be positive, got {self.accesses}")
@@ -196,10 +204,30 @@ class SimJob:
             benchmark_name, policy, accesses, seed, capacity_cores=capacity_cores
         )
 
+    @classmethod
+    def probe(
+        cls, benchmark_name: str, accesses: int, seed: Optional[int] = None
+    ) -> "SimJob":
+        """Job equivalent of :func:`repro.sim.runner.run_probe`.
+
+        The probe measures the LRU baseline over the whole trace, so its
+        policy is ``"lru"`` and it has no warmup.
+        """
+        from repro.common.rng import DEFAULT_SEED
+
+        return cls(
+            members=(benchmark_name,),
+            policy="lru",
+            accesses=accesses,
+            seed=DEFAULT_SEED if seed is None else seed,
+            kind="probe",
+            warmup_fraction=0.0,
+        )
+
     @property
     def expected_cores(self) -> int:
         """Core count a valid result for this job must report."""
-        return 1 if self.kind == "single" else len(self.members)
+        return len(self.members) if self.kind == "workload" else 1
 
     # ------------------------------------------------------------------
     # Content addressing and serialization
@@ -250,16 +278,35 @@ class SimJob:
         )
 
     def describe(self) -> str:
-        """Short human-readable label for progress reporting."""
+        """Short human-readable label for progress reporting.
+
+        Names every field that differs from its default, so two jobs of
+        one batch never share a label (the label is not hashed).
+        """
+        from repro.common.rng import DEFAULT_SEED
+
         target = "+".join(self.members)
-        extras = "".join(f" {name}={value}" for name, value in self.overrides)
-        if self.capacity_cores != 1:
-            extras = f" cap={self.capacity_cores}{extras}"
-        return f"{self.kind}:{target}@{self.policy} n={self.accesses}{extras}"
+        if self.kind == "probe":
+            # SimJob.probe sets the policy, and no warmup.
+            label = f"probe:{target} n={self.accesses}"
+            warmup = 0.0
+        else:
+            label = f"{self.kind}:{target}@{self.policy} n={self.accesses}"
+            warmup = SimJob.warmup_fraction
+        for name, value, default in (
+            ("seed", self.seed, DEFAULT_SEED),
+            ("warmup", self.warmup_fraction, warmup),
+            ("prefetcher", self.prefetcher, "none"),
+            ("memory", self.memory_model, "fixed"),
+            ("cap", self.capacity_cores, 1),
+        ):
+            if value != default:
+                label += f" {name}={value}"
+        return label + "".join(f" {name}={value}" for name, value in self.overrides)
 
 
-def execute_job(job: SimJob):
-    """Run one job to completion and return its :class:`SimResult`.
+def execute_job(job: SimJob) -> JobResult:
+    """Run one job to completion and return its :data:`JobResult`.
 
     A module-level function so :class:`~concurrent.futures.ProcessPoolExecutor`
     workers can pickle it.  Imports lazily so forked workers pay the
@@ -283,10 +330,12 @@ def execute_job(job: SimJob):
         return _execute(job)
 
 
-def _execute(job: SimJob):
+def _execute(job: SimJob) -> JobResult:
     """Dispatch a job spec to the matching runner helper."""
-    from repro.sim.runner import run_single, run_workload
+    from repro.sim.runner import run_probe, run_single, run_workload
 
+    if job.kind == "probe":
+        return run_probe(job.members[0], job.accesses, job.seed)
     overrides = dict(job.overrides)
     if job.kind == "single":
         return run_single(
@@ -310,3 +359,18 @@ def _execute(job: SimJob):
         job.memory_model,
         **overrides,
     )
+
+
+def import_job_modules() -> None:
+    """Import what a job's first run would otherwise import lazily.
+
+    The scheduler calls this before it forks a pool, so every worker
+    inherits these modules instead of importing them on its first job:
+    the runner, numpy's random generators (trace generation) and the
+    invariant-checker package the engine consults at the start of a
+    run.
+    """
+    import numpy.random  # noqa: F401
+
+    import repro.check.invariants  # noqa: F401
+    import repro.sim.runner  # noqa: F401

@@ -51,12 +51,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecError, RunInterrupted, StoreError
 from repro.common.rng import backoff_delay
-from repro.exec.job import SimJob, execute_job
+from repro.exec.job import JobResult, SimJob, execute_job, import_job_modules
 from repro.exec.stores.base import DEFAULT_LEASE_TTL
 from repro.exec.stores.fs import FileResultStore
 from repro.exec.validate import validate_result
 from repro.obs.trace import active_tracer
-from repro.sim.engine import SimResult
 
 #: Signature of the progress hook: receives event dicts with at least an
 #: ``"event"`` field (``cached`` / ``completed`` / ``failed`` / ``retry``
@@ -209,7 +208,7 @@ class Scheduler:
         retries: int = 1,
         progress: Optional[ProgressHook] = None,
         strict: bool = True,
-        execute: Callable[[SimJob], SimResult] = execute_job,
+        execute: Callable[[SimJob], JobResult] = execute_job,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         singleflight: bool = True,
@@ -324,7 +323,7 @@ class Scheduler:
                 "exec.store_degraded", op=op, error=repr(exc)[:200]
             )
 
-    def _store_get(self, job: SimJob, report: BatchReport) -> Optional[SimResult]:
+    def _store_get(self, job: SimJob, report: BatchReport) -> Optional[JobResult]:
         """Cache lookup that degrades to a miss on store failure."""
         if self.store is None:
             return None
@@ -335,7 +334,7 @@ class Scheduler:
             return None
 
     def _store_put(
-        self, state: _JobState, result: SimResult, report: BatchReport
+        self, state: _JobState, result: JobResult, report: BatchReport
     ) -> None:
         """Persist a fresh result; a failed put degrades, never aborts."""
         if self.store is None:
@@ -496,11 +495,11 @@ class Scheduler:
         )
         return backoff_delay(round_no, label, self.backoff_base, self.backoff_cap)
 
-    def run(self, batch: Sequence[SimJob]) -> List[Optional[SimResult]]:
+    def run(self, batch: Sequence[SimJob]) -> List[Optional[JobResult]]:
         """Resolve every job of ``batch``, in order.
 
-        Returns one :class:`SimResult` per submitted job (duplicates
-        share one simulation).  With ``strict=True`` (the default) a job
+        Returns one result per submitted job (duplicates share one
+        simulation).  With ``strict=True`` (the default) a job
         that fails after retries raises; a SIGINT/SIGTERM mid-batch
         raises :class:`~repro.common.errors.RunInterrupted` after
         persisting everything that finished; otherwise failed slots are
@@ -508,7 +507,7 @@ class Scheduler:
         """
         started = time.monotonic()
         report = BatchReport(total=len(batch))
-        results: List[Optional[SimResult]] = [None] * len(batch)
+        results: List[Optional[JobResult]] = [None] * len(batch)
         self._interrupted = False
         self.last_outcomes = {}
         self._tracer = active_tracer()
@@ -524,7 +523,7 @@ class Scheduler:
                 "exec.batch_start", total=len(batch), unique=len(unique)
             )
 
-        def settle(state: _JobState, result: SimResult, cached: bool) -> None:
+        def settle(state: _JobState, result: JobResult, cached: bool) -> None:
             for index in state.indices:
                 results[index] = result
             if cached:
@@ -729,7 +728,7 @@ class Scheduler:
         snapshot = getattr(exc, "snapshot", None)
         state.snapshot = dict(snapshot) if snapshot else None
 
-    def _accept(self, state: _JobState, result: SimResult) -> Optional[str]:
+    def _accept(self, state: _JobState, result: JobResult) -> Optional[str]:
         """Invariant-check a fresh result; returns the violation, if any."""
         violations = validate_result(result, state.job)
         if violations:
@@ -767,6 +766,9 @@ class Scheduler:
     def _run_pool(self, pending: List[_JobState]):
         completed, retry, failed, interrupted = [], [], [], []
         workers = min(self.jobs, len(pending))
+        # Forked workers inherit the parent's modules: import what a
+        # job's run would otherwise import in every worker.
+        import_job_modules()
         pool = ProcessPoolExecutor(max_workers=workers)
         round_started = time.monotonic()
         futures = [(state, pool.submit(self.execute, state.job)) for state in pending]

@@ -1,13 +1,14 @@
 """The entry codec and the records the result store hands out.
 
 A result store maps a :class:`~repro.exec.job.SimJob`'s content hash to
-a serialized :class:`~repro.sim.engine.SimResult`.  This module holds
-what :class:`~repro.exec.stores.fs.FileResultStore` builds on:
+a serialized :class:`~repro.sim.engine.SimResult` (a
+:class:`~repro.sim.engine.ProbeResult` for a probe job).  This module
+holds what :class:`~repro.exec.stores.fs.FileResultStore` builds on:
 
 * the payload codec (:func:`encode_entry` / :func:`decode_entry`), which
-  validates every read against the engine invariants so a corrupted or
-  invariant-violating entry is reported with a quarantine reason and
-  never served;
+  decodes by job kind and validates every read against the engine
+  invariants so a corrupted or invariant-violating entry is reported
+  with a quarantine reason and never served;
 * the :class:`Lease` record of the cross-process compute leases that
   arbitrate which of several processes computes a missed job
   (single-flight), and :func:`stale_after`, which decides when a
@@ -30,9 +31,9 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.common.errors import ReproError
-from repro.exec.job import ENGINE_VERSION, SimJob
+from repro.exec.job import ENGINE_VERSION, JobResult, SimJob
 from repro.exec.validate import validate_result
-from repro.sim.engine import SimResult
+from repro.sim.engine import ProbeResult, SimResult
 
 #: Environment variable overriding the store location.
 STORE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -74,7 +75,7 @@ ENTRY_MAGIC = b"NUC2"
 ENTRY_HEADER_LEN = len(ENTRY_MAGIC) + 4
 
 
-def encode_entry(job: SimJob, result: SimResult) -> bytes:
+def encode_entry(job: SimJob, result: JobResult) -> bytes:
     """Serialize one store entry (job + result + provenance).
 
     Codec v2: the sorted-keys JSON document is zlib-compressed behind a
@@ -126,7 +127,7 @@ def inflate_entry(payload: Union[str, bytes]) -> bytes:
 
 def decode_entry(
     text: Union[str, bytes], job: SimJob
-) -> Tuple[Optional[SimResult], Optional[str]]:
+) -> Tuple[Optional[JobResult], Optional[str]]:
     """Parse and validate one stored entry against its job.
 
     Accepts both codec versions — v2 zlib-packed bytes (``NUC2`` magic)
@@ -146,7 +147,11 @@ def decode_entry(
     except (ValueError, UnicodeDecodeError):
         return None, "unreadable or corrupt JSON"
     try:
-        result = SimResult.from_dict(payload["result"])
+        stored = payload["result"]
+        result: JobResult = (
+            ProbeResult.from_dict(stored) if job.kind == "probe"
+            else SimResult.from_dict(stored)
+        )
     except (ValueError, KeyError, TypeError, AttributeError, IndexError,
             ReproError):
         return None, "malformed result payload"

@@ -45,7 +45,7 @@ except ImportError:  # pragma: no cover - Windows
     fcntl = None  # type: ignore[assignment]
 
 from repro.common.errors import StoreError
-from repro.exec.job import ENGINE_VERSION, SimJob
+from repro.exec.job import ENGINE_VERSION, JobResult, SimJob
 from repro.exec.stores.base import (
     DEFAULT_LEASE_TTL,
     ENTRY_HEADER_LEN,
@@ -60,7 +60,6 @@ from repro.exec.stores.base import (
     lease_owner_id,
     stale_after,
 )
-from repro.sim.engine import SimResult
 
 #: Subdirectory (of the store base) holding quarantined entries.
 QUARANTINE_DIR_NAME = "quarantine"
@@ -132,7 +131,7 @@ class FileResultStore:
     # Entries
     # ------------------------------------------------------------------
 
-    def get(self, job: SimJob) -> Optional[SimResult]:
+    def get(self, job: SimJob) -> Optional[JobResult]:
         """Stored result for ``job``, or ``None`` on miss.
 
         An entry that is corrupted (truncated write, bad JSON, missing
@@ -158,7 +157,7 @@ class FileResultStore:
             return None
         return result
 
-    def put(self, job: SimJob, result: SimResult) -> Path:
+    def put(self, job: SimJob, result: JobResult) -> Path:
         """Persist ``result`` under ``job``'s key (atomic and durable).
 
         The temp file is fsynced before the rename and the directory

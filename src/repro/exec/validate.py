@@ -14,6 +14,10 @@ rotted on disk.  This module centralizes the invariants every
   jobs, exactly one for single jobs) with distinct, well-formed ids;
 * LLC occupancy refers only to known cores.
 
+A probe job's :class:`~repro.sim.engine.ProbeResult` has its own
+payload checks: int PCs with positive miss counts, and non-negative int
+Next-Use distances.
+
 :func:`validate_result` returns the violations as strings (empty list ==
 valid); :func:`check_result` raises :class:`ValidationError`.  The
 scheduler applies these checks after every simulation, and the store
@@ -27,15 +31,19 @@ import math
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ValidationError
+from repro.sim.engine import ProbeResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.exec.job import SimJob
-    from repro.sim.engine import SimResult
+    from repro.exec.job import JobResult, SimJob
 
 #: ``level_counts`` key for accesses resolved at the LLC (hits).
 _LEVEL_LLC = "llc"
 #: ``level_counts`` key for accesses that missed all the way to memory.
 _LEVEL_MEMORY = "memory"
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_count(value: object) -> bool:
@@ -46,14 +54,35 @@ def _is_finite_nonneg(value: object) -> bool:
     return isinstance(value, float) and math.isfinite(value) and value >= 0.0
 
 
+def _probe_violations(result: ProbeResult) -> List[str]:
+    """Payload violations of one baseline probe result."""
+    misses = result.misses
+    if not isinstance(misses, dict):
+        return ["probe misses are not a PC -> count map"]
+    violations = [
+        f"probe PC {pc!r} with {count!r} misses: need an int PC, a positive count"
+        for pc, count in misses.items()
+        if not (_is_int(pc) and _is_count(count) and count > 0)
+    ]
+    distances = result.distances
+    if not isinstance(distances, list) or not all(map(_is_count, distances)):
+        violations.append("probe distances must be non-negative ints")
+    return violations
+
+
 def validate_result(
-    result: "SimResult", job: Optional["SimJob"] = None
+    result: "JobResult", job: Optional["SimJob"] = None
 ) -> List[str]:
     """Invariant violations of ``result`` (empty list means valid).
 
     When ``job`` is given, the result is additionally checked for
-    consistency against its spec (core count, workload names).
+    consistency against its spec (result type, core count, workload
+    names).
     """
+    if job is not None and (job.kind == "probe") != isinstance(result, ProbeResult):
+        return [f"{job.kind} job got a {type(result).__name__}"]
+    if isinstance(result, ProbeResult):
+        return _probe_violations(result)
     violations: List[str] = []
 
     cores = getattr(result, "cores", None)
@@ -128,7 +157,7 @@ def validate_result(
     return violations
 
 
-def check_result(result: "SimResult", job: Optional["SimJob"] = None) -> "SimResult":
+def check_result(result: "JobResult", job: Optional["SimJob"] = None) -> "JobResult":
     """Return ``result`` if valid, else raise :class:`ValidationError`."""
     violations = validate_result(result, job)
     if violations:

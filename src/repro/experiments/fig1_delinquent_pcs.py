@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.experiments.probe import baseline_probe
+from repro.experiments.probe import baseline_probes
 from repro.workloads.spec_like import benchmark_names
 
 EXPERIMENT_ID = "fig1"
@@ -24,10 +24,10 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> Experimen
     accesses = scaled_accesses(accesses)
     rows = []
     coverages_at_8 = []
-    for name in benchmark_names():
-        misses, _distances = baseline_probe(name, accesses, seed)
-        total = sum(misses.values())
-        ranked = [count for _pc, count in misses.most_common()]
+    names = benchmark_names()
+    for name, probe in zip(names, baseline_probes(names, accesses, seed)):
+        ranked = sorted(probe.misses.values(), reverse=True)
+        total = sum(ranked)
         row: dict = {"benchmark": name, "total_misses": total, "miss_pcs": len(ranked)}
         for k in TOP_K:
             covered = sum(ranked[:k])

@@ -20,7 +20,7 @@ import numpy as np
 from repro.common.config import paper_system_config
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.base import ExperimentResult, scaled_accesses
-from repro.experiments.probe import baseline_probe
+from repro.experiments.probe import baseline_probes
 from repro.workloads.spec_like import benchmark_names
 
 EXPERIMENT_ID = "fig2"
@@ -38,8 +38,9 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED) -> Experimen
         * paper_system_config(1).llc.num_sets
     )
     rows = []
-    for name in benchmark_names():
-        _misses, distances = baseline_probe(name, accesses, seed)
+    names = benchmark_names()
+    for name, probe in zip(names, baseline_probes(names, accesses, seed)):
+        distances = np.asarray(probe.distances)
         row: dict = {"benchmark": name, "events": int(distances.size)}
         for edge in BUCKET_EDGES:
             share = float(np.mean(distances <= edge)) if distances.size else 0.0

@@ -1,71 +1,36 @@
 """The baseline probe behind the characterization figures (Fig 1, Fig 2).
 
-Both figures describe the LRU baseline's eviction stream, so one run per
-benchmark serves both: NUcache with zero DeliWays, which behaves as a
-plain 16-way LRU cache (the claims suite pins Fig 4's D=0 ≡ LRU), with a
-thin recording wrapper around the shared LLC — the software equivalent
-of attaching a logic analyzer, with no behavioural effect on the run.
+Both figures describe the LRU baseline's eviction stream, so one
+:func:`~repro.sim.runner.run_probe` run per benchmark serves both.  The
+runs are scheduler jobs (:meth:`~repro.exec.job.SimJob.probe`): a cold
+figure computes them on the worker pool, a warm one reads them from the
+result store, and an in-process memo lets Fig 2 after Fig 1 (or a
+``--no-cache`` run) resolve each benchmark once per process.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from repro.common.config import paper_system_config
 from repro.common.rng import DEFAULT_SEED
-from repro.sim.memory import FixedLatencyMemory
-from repro.sim.policies import make_llc
-from repro.sim.runner import make_traces
-from repro.sim.vector import make_engine, resolve_engine_mode
+from repro.exec import SimJob, run_jobs
+from repro.sim.engine import ProbeResult
 
 #: In-process memo of probe results, keyed ``(benchmark, accesses, seed)``.
-_PROBE_MEMO: Dict[Tuple[str, int, int], Tuple[Counter, np.ndarray]] = {}
+_PROBE_MEMO: Dict[Tuple[str, int, int], ProbeResult] = {}
 
 
-def baseline_probe(
-    benchmark_name: str, accesses: int, seed: int = DEFAULT_SEED
-) -> Tuple[Counter, np.ndarray]:
-    """Per-PC LLC misses and solo Next-Use distances under baseline LRU.
+def baseline_probes(
+    names: Sequence[str], accesses: int, seed: int = DEFAULT_SEED
+) -> List[ProbeResult]:
+    """One :class:`~repro.sim.engine.ProbeResult` per benchmark, in order.
 
-    Returns the misses per PC, in order of each PC's first miss, and
-    one solo Next-Use distance per profiled reuse (evictions from the
-    line's own filling PC between its eviction and its next use).  The
-    run takes the ``REPRO_ENGINE`` engine, else the hybrid replay, which
-    on one core makes every LLC call a scalar run makes, in order.
-    Memoized in-process: callers share the returned objects.
+    Benchmarks the memo lacks resolve as one scheduler batch labelled
+    ``probe``.  Callers share the returned objects.
     """
-    memo_key = (benchmark_name, accesses, seed)
-    if memo_key in _PROBE_MEMO:
-        return _PROBE_MEMO[memo_key]
-    config = paper_system_config(1, deli_ways=0)
-    traces = make_traces([benchmark_name], accesses, seed)
-    llc = make_llc("nucache", config, seed)
-    llc.controller.keep_profiles = True
-    misses: Counter = Counter()
-    original_access = llc.access
-
-    def recording_access(block: int, core: int, pc: int, is_write: bool) -> bool:
-        hit = original_access(block, core, pc, is_write)
-        if not hit:
-            misses[pc] += 1
-        return hit
-
-    llc.access = recording_access  # type: ignore[method-assign]
-    make_engine(
-        traces, llc, config, FixedLatencyMemory(config.latency.memory),
-        mode=resolve_engine_mode() or "vector",
-    ).run()
-    # The wrapper holds the LLC through its bound method; dropping it
-    # frees the LLC now rather than at the next full collection.
-    del llc.access
-    solo = [
-        profile.event_deltas[np.arange(profile.num_events), profile.event_pc]
-        for profile in llc.controller.profile_history
-        if profile.num_events
-    ]
-    distances = np.concatenate(solo) if solo else np.zeros(0, dtype=np.int64)
-    _PROBE_MEMO[memo_key] = (misses, distances)
-    return _PROBE_MEMO[memo_key]
+    missing = [name for name in names if (name, accesses, seed) not in _PROBE_MEMO]
+    if missing:
+        jobs = [SimJob.probe(name, accesses, seed) for name in missing]
+        for name, result in zip(missing, run_jobs(jobs, label="probe")):
+            _PROBE_MEMO[(name, accesses, seed)] = result
+    return [_PROBE_MEMO[(name, accesses, seed)] for name in names]

@@ -52,10 +52,13 @@ def observe_results(registry, results) -> None:
     weighted (a deduplicated job counts once per submission) and purely
     a function of the results, so cached and computed batches record
     identically.  ``None`` slots (failed jobs under ``strict=False``)
-    are skipped.
+    and baseline probe results, which carry no core counters, are
+    skipped.
     """
+    from repro.sim.engine import ProbeResult
+
     for result in results:
-        if result is None:
+        if result is None or isinstance(result, ProbeResult):
             continue
         registry.counter("sim.jobs", policy=result.policy).inc()
         registry.counter(

@@ -48,8 +48,12 @@ class CoreModel:
         self._trace_length = len(trace)
         self.warmup_accesses = warmup_accesses
         self.prefetcher = prefetcher
-        self.l1 = SetAssociativeCache(config.l1, lru_factory(), f"l1.{core_id}")
-        self.l2 = SetAssociativeCache(config.l2, lru_factory(), f"l2.{core_id}")
+        self.config = config
+        # The private L1 and L2, built with the per-access lists by the
+        # first step() (see _load_trace): the batched engine resolves the
+        # private levels itself and never steps a core.
+        self.l1: Optional[SetAssociativeCache] = None
+        self.l2: Optional[SetAssociativeCache] = None
         self.latency: LatencyConfig = config.latency
         # Hit latencies flattened out of the frozen dataclass: step()
         # reads one per access and dataclass attribute access is two
@@ -60,9 +64,8 @@ class CoreModel:
         self.gap = trace.instruction_gap
 
         self._block_shift = log2_exact(config.block_bytes)
-        # Per-access python lists of the trace, built by the first step()
-        # (see _load_trace): the batched engine never steps a core, so it
-        # never pays for them.
+        # Per-access python lists of the trace, built with the private
+        # caches by the first step().
         self._blocks: Optional[List[int]] = None
         self._pcs: List[int] = []
         self._writes: List[bool] = []
@@ -149,13 +152,16 @@ class CoreModel:
         return level
 
     def _load_trace(self) -> List[int]:
-        """Build the per-access python lists :meth:`step` reads.
+        """Build the private caches and the per-access lists :meth:`step` reads.
 
         Deliberately a plain method called from ``step`` rather than a
         ``cached_property``: a descriptor on the class would stop the
         interpreter from specializing the ``self._blocks`` load in the
         hot loop.
         """
+        config, core_id = self.config, self.core_id
+        self.l1 = SetAssociativeCache(config.l1, lru_factory(), f"l1.{core_id}")
+        self.l2 = SetAssociativeCache(config.l2, lru_factory(), f"l2.{core_id}")
         trace = self.trace
         blocks: List[int] = (trace.addresses >> self._block_shift).tolist()
         self._blocks = blocks

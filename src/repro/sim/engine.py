@@ -142,6 +142,45 @@ class SimResult:
         )
 
 
+@dataclass
+class ProbeResult:
+    """What the baseline probe behind Fig 1 and Fig 2 measured.
+
+    Attributes:
+        misses: LLC misses per PC, in order of each PC's first miss (so
+            ``Counter(misses).most_common()`` breaks ties as the run
+            met them).
+        distances: one solo Next-Use distance per profiled reuse.
+    """
+
+    misses: Dict[int, int]
+    distances: List[int]
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable representation (exact round-trip).
+
+        The misses are ``[pc, count]`` pairs: a JSON object would turn
+        the PCs into strings.
+        """
+        return {
+            "misses": [[pc, count] for pc, count in self.misses.items()],
+            "distances": list(self.distances),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "ProbeResult":
+        """Rebuild a result from :meth:`to_dict` output.
+
+        Values are taken as stored, not coerced, so
+        :func:`repro.exec.validate.validate_result` sees a damaged
+        payload's types.
+        """
+        return cls(
+            misses={pc: count for pc, count in payload["misses"]},
+            distances=list(payload["distances"]),
+        )
+
+
 class MulticoreEngine:
     """Runs a set of traces against one shared LLC organization."""
 

@@ -8,6 +8,8 @@ study:
   address space, on an LLC sized for the core count;
 * an *alone run* gives one benchmark the whole (same-sized) LLC under
   LRU — the denominator of weighted speedup;
+* a *probe run* (:func:`run_probe`) records the LRU baseline's per-PC
+  misses and Next-Use distances for the characterization figures;
 * trace lengths are expressed in accesses per core.
 
 :func:`alone_ipc` memoizes alone IPCs in-process and resolves misses
@@ -17,15 +19,18 @@ from the content-addressed result store (:mod:`repro.exec`).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.config import SystemConfig, paper_system_config
 from repro.common.rng import DEFAULT_SEED
 from repro.prefetch.prefetchers import make_prefetcher
-from repro.sim.engine import SimResult
+from repro.sim.engine import ProbeResult, SimResult
 from repro.sim.memory import BandwidthLimitedMemory, FixedLatencyMemory
 from repro.sim.policies import make_llc
-from repro.sim.vector import make_engine
+from repro.sim.vector import make_engine, resolve_engine_mode
 from repro.workloads.mixes import mix_members
 from repro.workloads.spec_like import benchmark
 from repro.workloads.synthetic import generate_trace
@@ -143,6 +148,52 @@ def run_single(
         warmup_fraction=warmup_fraction, prefetchers=prefetchers,
     )
     return engine.run()
+
+
+def run_probe(
+    benchmark_name: str, accesses: int, seed: int = DEFAULT_SEED
+) -> ProbeResult:
+    """The baseline probe behind Fig 1 and Fig 2: one run, two views.
+
+    Both figures describe the LRU baseline's eviction stream, so one run
+    serves both: NUcache with zero DeliWays, which behaves as a plain
+    16-way LRU cache (the claims suite pins Fig 4's D=0 ≡ LRU), with a
+    thin recording wrapper around the shared LLC that counts misses per
+    PC and has no behavioural effect on the run.  The solo Next-Use
+    distances (evictions from the line's own filling PC between its
+    eviction and its next use) come from the kept epoch profiles.
+
+    The run takes the ``REPRO_ENGINE`` engine, else the hybrid replay,
+    which on one core makes every LLC call a scalar run makes, in order.
+    """
+    config = paper_system_config(1, deli_ways=0)
+    traces = make_traces([benchmark_name], accesses, seed)
+    llc = make_llc("nucache", config, seed)
+    llc.controller.keep_profiles = True
+    misses: Counter = Counter()
+    original_access = llc.access
+
+    def recording_access(block: int, core: int, pc: int, is_write: bool) -> bool:
+        hit = original_access(block, core, pc, is_write)
+        if not hit:
+            misses[pc] += 1
+        return hit
+
+    llc.access = recording_access  # type: ignore[method-assign]
+    make_engine(
+        traces, llc, config, FixedLatencyMemory(config.latency.memory),
+        mode=resolve_engine_mode() or "vector",
+    ).run()
+    # The wrapper holds the LLC through its bound method; dropping it
+    # frees the LLC now rather than at the next full collection.
+    del llc.access
+    solo = [
+        profile.event_deltas[np.arange(profile.num_events), profile.event_pc]
+        for profile in llc.controller.profile_history
+        if profile.num_events
+    ]
+    distances = np.concatenate(solo).tolist() if solo else []
+    return ProbeResult(dict(misses), distances)
 
 
 #: In-process memo of alone IPCs, backed by the persistent result store.

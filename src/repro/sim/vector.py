@@ -89,10 +89,11 @@ ENGINE_ENV = "REPRO_ENGINE"
 #: Recognized engine backend names.
 ENGINE_MODES = ("scalar", "vector")
 
-#: Iteration cap of the multicore fixed-point LLC solve.  The solve
-#: converges in a handful of iterations on every workload we generate;
-#: the cap only bounds pathological feedback loops, which fall back to
-#: the (still byte-identical) hybrid path.
+#: Iteration cap of the multicore fixed-point LLC solve.  Measured on
+#: the paper's mixes: 2–6 iterations at 10,000 accesses per core
+#: (``REPRO_SCALE=0.05``); at full length (120,000) 3–30 at 4 cores and
+#: 8–30 at 8, and 7 of 64 full-length runs hit the cap.  A run that
+#: hits it falls back to the (still byte-identical) hybrid path.
 MAX_FIXED_POINT_ITERATIONS = 30
 
 

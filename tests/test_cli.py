@@ -218,3 +218,36 @@ class TestFailedOutcomeRendering:
         assert "failed feedbeef" in out
         assert "violated" not in out
         assert "|" not in out
+
+    def test_warm_fig1_fig2_build_no_engine(self, capsys, monkeypatch, tmp_path):
+        from repro.exec import context as exec_context
+        from repro.experiments import probe
+        from repro.sim.engine import MulticoreEngine
+
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(probe, "_PROBE_MEMO", {})
+        exec_context.reset()
+        built = []
+        init = MulticoreEngine.__init__
+
+        def counting_init(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(MulticoreEngine, "__init__", counting_init)
+        try:
+            assert main(["run", "fig1", "fig2"]) == 0
+            cold = capsys.readouterr()
+            assert len(built) == 16
+            # A new process: the memo is empty, the store holds the probes.
+            monkeypatch.setattr(probe, "_PROBE_MEMO", {})
+            assert main(["run", "fig1", "fig2"]) == 0
+            warm = capsys.readouterr()
+        finally:
+            exec_context.reset()
+        assert len(built) == 16
+        assert warm.out == cold.out
+        assert "[exec] fig1: 16 jobs: 16 computed, 0 cached" in cold.err
+        assert "[exec] fig1: 16 jobs: 0 computed, 16 cached" in warm.err
+        assert "[exec] fig2" not in warm.err

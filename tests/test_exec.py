@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -108,6 +109,37 @@ class TestSimJob:
     def test_capacity_without_a_power_of_two_llc_is_refused(self, capacity):
         with pytest.raises(ExecError):
             SimJob.single("art_like", "lru", 10_000, capacity_cores=capacity)
+
+    @pytest.mark.parametrize(
+        "name, value, label",
+        [
+            ("seed", 7, " seed=7"),
+            ("warmup_fraction", 0.1, " warmup=0.1"),
+            ("prefetcher", "stride", " prefetcher=stride"),
+            ("memory_model", "bandwidth", " memory=bandwidth"),
+        ],
+    )
+    def test_jobs_differing_in_one_field_get_distinct_labels(self, name, value, label):
+        job = SimJob.mix("mix2_1", "lru", 10_000)
+        other = replace(job, **{name: value})
+        assert job.describe() == "workload:art_like+swim_like@lru n=10000"
+        assert other.describe() == job.describe() + label
+        assert other.key() != job.key()
+
+    def test_probe_job(self):
+        probe = SimJob.probe("art_like", 10_000)
+        assert probe.key() == (
+            "1de9fa2072a6ab2f85975318dcc6b424b3511ca2204b1cfac0896e02f4d5b572"
+        )
+        assert probe.describe() == "probe:art_like n=10000"
+        reseeded = SimJob.probe("art_like", 10_000, seed=3)
+        assert reseeded.describe() == "probe:art_like n=10000 seed=3"
+        assert probe.key() != SimJob.single("art_like", "lru", 10_000).key()
+        clone = SimJob.from_dict(json.loads(json.dumps(probe.to_dict())))
+        assert clone == probe and clone.key() == probe.key()
+        with pytest.raises(ExecError):
+            SimJob(members=("a", "b"), policy="lru", accesses=10, seed=0,
+                   kind="probe")
 
     def test_validation(self):
         with pytest.raises(ExecError):

@@ -63,7 +63,9 @@ class TestCoreModel:
         core, config = self._core([0, 0])
         llc = make_llc("lru", config)
         memory = FixedLatencyMemory(config.latency.memory)
+        assert core.l1 is None and core.l2 is None  # built by the first step
         core.step(llc, memory)
+        assert core.l1.geometry == config.l1 and core.l2.geometry == config.l2
         assert core.step(llc, memory) == LEVEL_L1
 
     def test_completion_freezes_stats(self):

@@ -528,7 +528,9 @@ class TestEngineSelection:
 
 
 class TestMemoryHygiene:
-    """A batched run leaves no scratch memory or per-access lists behind."""
+    """A batched run leaves no scratch memory, per-access lists or private
+    caches behind: the cores' L1 and L2 objects are built only for a core
+    that steps."""
 
     def test_default_lru_mix_releases_pool_and_builds_no_lists(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
@@ -544,6 +546,7 @@ class TestMemoryHygiene:
         assert type(engine) is VectorEngine and engine.fallback_reason is None
         assert not vector._POOL
         assert all(core._blocks is None for core in engine.cores)
+        assert all(core.l1 is None and core.l2 is None for core in engine.cores)
 
     def test_default_nucache_mix_replays_without_scalar_lists(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
@@ -560,6 +563,7 @@ class TestMemoryHygiene:
         assert engine.fallback_reason == "hybrid:llc_policy:nucache"
         assert not vector._POOL
         assert all(core._blocks is None for core in engine.cores)
+        assert all(core.l1 is None and core.l2 is None for core in engine.cores)
 
 
 class TestStoreKeyRegression:
