@@ -13,7 +13,13 @@ cache kernel (see docs/checking.md):
   ``nucache-repro check`` CLI subcommand) driving seeded random streams
   across policy × geometry × DeliWay-split grids, shrinking failures to
   minimal reproducers.
+
+Every engine run imports :mod:`repro.check.invariants` (it asks
+``REPRO_CHECK`` for a checker), so only that module loads with the
+package.  The oracle's and the fuzzer's names load on first use.
 """
+
+import importlib
 
 from repro.check.invariants import (
     CHECK_ENV_VAR,
@@ -28,8 +34,27 @@ from repro.check.invariants import (
     engine_checker,
     snapshot_llc,
 )
-from repro.check.oracle import DifferentialHarness, make_reference
-from repro.check.fuzz import FuzzCase, default_grid, run_case, run_check
+
+#: Names that load their module on first access: name -> module.
+_LAZY = {
+    "DifferentialHarness": "repro.check.oracle",
+    "make_reference": "repro.check.oracle",
+    "FuzzCase": "repro.check.fuzz",
+    "default_grid": "repro.check.fuzz",
+    "run_case": "repro.check.fuzz",
+    "run_check": "repro.check.fuzz",
+}
+
+
+def __getattr__(name: str):
+    """Load an oracle or fuzzer name on first access (PEP 562)."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CHECK_ENV_VAR",

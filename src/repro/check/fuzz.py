@@ -29,6 +29,7 @@ from repro.common.errors import InvariantViolation, ReproError
 from repro.common.rng import DEFAULT_SEED, make_rng
 from repro.exec.stores import default_store_dir
 from repro.nucache.organization import NUCache
+from repro.nucache.selection import SELECTORS
 from repro.sim.policies import make_llc
 
 #: One access of a fuzz stream: ``(block_addr, core, pc, is_write)``.
@@ -49,6 +50,17 @@ EXTRA_POLICIES = (
 QUICK_GEOMETRIES = ((16, 4), (8, 8))
 FULL_GEOMETRIES = ((16, 4), (8, 8), (32, 8), (16, 16))
 
+#: NUcache configurations besides the defaults, one case each for
+#: ``nucache`` and ``nucache-ucp`` on the 8x8 geometry: the lru DeliWay
+#: ablation, sampled profiling, a history small enough to pop, and
+#: every selector other than the default greedy one.
+NUCACHE_VARIANTS = (
+    {"deli_replacement": "lru"},
+    {"sample_period": 2},
+    {"history_capacity": 8},
+    *({"selector": name} for name in SELECTORS if name != "greedy"),
+)
+
 #: Cap on oracle replays spent shrinking one failing stream.
 SHRINK_BUDGET = 400
 
@@ -67,13 +79,28 @@ class FuzzCase:
     footprint: int = 0  # 0 = 3x the cache capacity
     pcs: int = 12
     write_fraction: float = 0.25
+    # NUcache configuration (see :func:`system_config`).
+    deli_replacement: str = "fifo"
+    sample_period: int = 1
+    history_capacity: int = 64
+    selector: str = "greedy"
 
     def describe(self) -> str:
-        """One-line label for progress output and reproducer names."""
+        """One-line label for progress output and reproducer names.
+
+        NUcache settings appear only when they differ from the defaults,
+        so a default case's label, and the stream seeded from it, stay
+        as they were before those settings existed.
+        """
         split = f" deli={self.deli_ways}" if self.policy.startswith("nucache") else ""
+        variant = "".join(
+            f" {name}={getattr(self, name)}"
+            for name, default in _NUCACHE_DEFAULTS
+            if getattr(self, name) != default
+        )
         return (
             f"{self.policy} {self.sets}x{self.ways}{split} cores={self.cores} "
-            f"n={self.accesses} seed={self.seed}"
+            f"n={self.accesses} seed={self.seed}{variant}"
         )
 
     def to_dict(self) -> dict:
@@ -84,12 +111,23 @@ class FuzzCase:
             "accesses": self.accesses, "seed": self.seed,
             "footprint": self.footprint, "pcs": self.pcs,
             "write_fraction": self.write_fraction,
+            "deli_replacement": self.deli_replacement,
+            "sample_period": self.sample_period,
+            "history_capacity": self.history_capacity,
+            "selector": self.selector,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FuzzCase":
         """Inverse of :meth:`to_dict`."""
         return cls(**payload)
+
+
+#: ``(field, default)`` of the NUcache settings a case may vary.
+_NUCACHE_DEFAULTS = tuple(
+    (name, FuzzCase.__dataclass_fields__[name].default)
+    for name in ("deli_replacement", "sample_period", "history_capacity", "selector")
+)
 
 
 @dataclass
@@ -137,9 +175,11 @@ def system_config(case: FuzzCase) -> SystemConfig:
             deli_ways=case.deli_ways,
             num_candidate_pcs=8,
             epoch_misses=150,
-            history_capacity=64,
+            history_capacity=case.history_capacity,
             max_selected_pcs=4,
-            selector="greedy",
+            selector=case.selector,
+            deli_replacement=case.deli_replacement,
+            sample_period=case.sample_period,
         ),
     )
 
@@ -327,7 +367,8 @@ def default_grid(
 
     ``quick`` bounds the sweep for CI (fewer geometries, shorter
     streams, the seven :data:`QUICK_POLICIES` families); the full grid
-    covers every policy with a reference model.
+    covers every policy with a reference model.  Both end with one case
+    per :data:`NUCACHE_VARIANTS` entry for each chosen NUcache family.
     """
     chosen = tuple(policies) if policies else (
         QUICK_POLICIES if quick else QUICK_POLICIES + EXTRA_POLICIES
@@ -353,6 +394,15 @@ def default_grid(
                     policy=policy, sets=sets, ways=ways, deli_ways=1,
                     accesses=stream_length, seed=seed,
                 ))
+    for policy in chosen:
+        if policy.startswith("nucache"):
+            cases.extend(
+                FuzzCase(
+                    policy=policy, sets=8, ways=8, deli_ways=2,
+                    accesses=stream_length, seed=seed, **variant,
+                )
+                for variant in NUCACHE_VARIANTS
+            )
     return cases
 
 

@@ -206,19 +206,22 @@ def check_nucache(llc: NUCache) -> List[str]:
     controller = llc.controller
     fifo = llc.config.deli_replacement == "fifo"
     resident_deli = 0
+    main_ways = llc.main_ways
     for index, nu_set in enumerate(llc.sets):
         label = f"set {index}"
-        lines = nu_set.main_lines
-        tag_to_way = nu_set.main_tag_to_way
-        valid_ways = {way for way, line in enumerate(lines) if line.valid}
+        tags = nu_set.tags
+        tag_to_way = nu_set.tag_to_way
+        free = nu_set.free
+        # A MainWay is valid exactly when it is not free.
+        valid_ways = set(range(main_ways)) - set(free)
         if len(tag_to_way) != len(valid_ways):
             violations.append(
                 f"{label}: tag index has {len(tag_to_way)} entries but "
-                f"{len(valid_ways)} valid MainWays"
+                f"{len(valid_ways)} valid (non-free) MainWays"
             )
         seen_ways = set()
         for tag, way in tag_to_way.items():
-            if not 0 <= way < llc.main_ways:
+            if not 0 <= way < main_ways:
                 violations.append(
                     f"{label}: tag {tag:#x} maps to MainWay {way} out of range"
                 )
@@ -226,29 +229,28 @@ def check_nucache(llc: NUCache) -> List[str]:
             if way in seen_ways:
                 violations.append(f"{label}: MainWay {way} indexed by multiple tags")
             seen_ways.add(way)
-            if not lines[way].valid:
+            if way not in valid_ways:
                 violations.append(
-                    f"{label}: tag {tag:#x} maps to invalid MainWay {way}"
+                    f"{label}: tag {tag:#x} maps to free MainWay {way}"
                 )
-            elif lines[way].tag != tag:
+            elif tags[way] != tag:
                 violations.append(
-                    f"{label}: MainWay {way} holds tag {lines[way].tag:#x} but "
+                    f"{label}: MainWay {way} holds tag {tags[way]:#x} but "
                     f"is indexed as {tag:#x}"
                 )
-        stack = nu_set.main_policy.stack
-        if sorted(stack) != list(range(llc.main_ways)):
+        stack = nu_set.stack
+        if sorted(stack) != list(range(main_ways)):
             violations.append(
                 f"{label}: MainWay LRU stack {stack} is not a permutation of "
-                f"0..{llc.main_ways - 1}"
+                f"0..{main_ways - 1}"
             )
-        free = nu_set.free_ways
         if len(set(free)) != len(free):
             violations.append(f"{label}: free-way list has duplicates ({free})")
-        expected_free = set(range(llc.main_ways)) - valid_ways
+        expected_free = set(range(main_ways)) - seen_ways
         if set(free) != expected_free:
             violations.append(
-                f"{label}: free MainWays {sorted(free)} != invalid MainWays "
-                f"{sorted(expected_free)}"
+                f"{label}: free MainWays {sorted(free)} != the MainWays no tag "
+                f"indexes {sorted(expected_free)}"
             )
         deli = nu_set.deli
         resident_deli += len(deli)
@@ -270,13 +272,12 @@ def check_nucache(llc: NUCache) -> List[str]:
                     f"{label}: DeliWay FIFO order broken (retention sequence "
                     f"numbers {seqs} are not strictly increasing)"
                 )
-        for way in valid_ways:
-            line = lines[way]
-            if line.pc_slot != controller.slot_of(line.core, line.pc):
+        for way in sorted(valid_ways):
+            expected = controller.slot_of(nu_set.cores[way], nu_set.pcs[way])
+            if nu_set.slots[way] != expected:
                 violations.append(
-                    f"{label}: MainWay {way} slot annotation {line.pc_slot} is "
-                    f"stale (table says "
-                    f"{controller.slot_of(line.core, line.pc)})"
+                    f"{label}: MainWay {way} slot annotation {nu_set.slots[way]} "
+                    f"is stale (table says {expected})"
                 )
         for tag, entry in deli.items():
             if entry.pc_slot != controller.slot_of(entry.core, entry.pc):
@@ -575,16 +576,18 @@ def _snapshot_set(llc, one_set) -> Dict:
             "stack": list(getattr(one_set.policy, "stack", []) or []),
             "tag_to_way": {str(tag): way for tag, way in one_set._tag_to_way.items()},
         }
-    if hasattr(one_set, "main_lines"):  # _NUcacheSet
+    if isinstance(llc, NUCache):
+        indexed = set(one_set.tag_to_way.values())
         return {
             "main": [
-                {"tag": line.tag, "dirty": line.dirty, "core": line.core,
-                 "pc": line.pc, "pc_slot": line.pc_slot}
-                if line.valid else None
-                for line in one_set.main_lines
+                {"tag": one_set.tags[way], "dirty": one_set.dirty[way],
+                 "core": one_set.cores[way], "pc": one_set.pcs[way],
+                 "pc_slot": one_set.slots[way]}
+                if way in indexed else None
+                for way in range(llc.main_ways)
             ],
-            "main_stack": list(one_set.main_policy.stack),
-            "free_ways": list(one_set.free_ways),
+            "main_stack": list(one_set.stack),
+            "free_ways": list(one_set.free),
             "deli": [
                 {"tag": tag, "dirty": entry.dirty, "core": entry.core,
                  "pc": entry.pc, "pc_slot": entry.pc_slot, "seq": entry.seq}

@@ -28,9 +28,11 @@ Three kinds of references, chosen by :func:`make_reference`:
   ``insert`` contract — exactly the code path the slot-array rework
   replaced, which is the regression this oracle exists to catch.
 
-:class:`RefNextUseProfiler` is a test reference of a different kind: the
-original Next-Use monitor, which snapshots every candidate counter at
-each eviction, kept to check the event-log profiler's epoch profiles.
+:class:`RefNextUseProfiler` is the original Next-Use monitor, which
+snapshots every candidate counter at each eviction.  The NUcache
+references drive one from their own evictions and reuses, and the
+harness compares its epoch profiles with the kernel's, whose access
+path inlines the event-log profiler.
 """
 
 from __future__ import annotations
@@ -185,13 +187,21 @@ class RefNUCache:
     controller, so this model checks the *way organization* — fills at
     MRU, LRU victims, retention of selected victims, FIFO overflow,
     promotion on DeliWay hit — independently of the selection machinery.
+
+    The reference also feeds its own Next-Use monitor, :attr:`profiler`:
+    every access that misses the MainWays is a potential reuse, and every
+    MainWay victim an eviction under the slot that the injected
+    ``slot_of(core, pc)`` table (the kernel's, captured before the
+    access) gives its filling PC.
     """
 
     def __init__(self, num_sets: int, main_ways: int, deli_ways: int,
-                 deli_replacement: str = "fifo") -> None:
+                 deli_replacement: str, profiler: "RefNextUseProfiler") -> None:
         self.main_ways = main_ways
         self.deli_ways = deli_ways
         self.deli_replacement = deli_replacement
+        self.profiler = profiler
+        self.index_bits = num_sets.bit_length() - 1
         self.main: List[List[Dict]] = [[] for _ in range(num_sets)]
         self.deli: List[List[Dict]] = [[] for _ in range(num_sets)]
         self.hits = 0
@@ -204,7 +214,8 @@ class RefNUCache:
         self.deli_evictions = 0
 
     def access(self, set_index: int, tag: int, core: int, pc: int,
-               is_write: bool, selected: Callable[[int, int], bool]) -> bool:
+               is_write: bool, selected: Callable[[int, int], bool],
+               slot_of: Callable[[int, int], int]) -> bool:
         """Service one access; returns True on hit (MainWay or DeliWay)."""
         main = self.main[set_index]
         for position, entry in enumerate(main):
@@ -216,6 +227,7 @@ class RefNUCache:
                     entry["dirty"] = True
                 self.hits += 1
                 return True
+        self.profiler.on_reuse(set_index, (tag << self.index_bits) | set_index)
         deli = self.deli[set_index]
         for position, entry in enumerate(deli):
             if entry["tag"] == tag:
@@ -228,20 +240,25 @@ class RefNUCache:
                     deli.append(entry)  # refresh in place (ablation)
                 else:
                     self.promotions += 1
-                    self._fill_main(set_index, entry, selected)
+                    self._fill_main(set_index, entry, selected, slot_of)
                 return True
         self.misses += 1
         entry = {"tag": tag, "core": core, "pc": pc, "dirty": is_write}
-        self._fill_main(set_index, entry, selected)
+        self._fill_main(set_index, entry, selected, slot_of)
         return False
 
     def _fill_main(self, set_index: int, entry: Dict,
-                   selected: Callable[[int, int], bool]) -> None:
+                   selected: Callable[[int, int], bool],
+                   slot_of: Callable[[int, int], int]) -> None:
         """Install at MainWay MRU, retaining or evicting the LRU victim."""
         main = self.main[set_index]
         if len(main) >= self.main_ways:
             victim = self._choose_victim(set_index, entry["core"])
             main.remove(victim)
+            self.profiler.on_eviction(
+                set_index, (victim["tag"] << self.index_bits) | set_index,
+                slot_of(victim["core"], victim["pc"]),
+            )
             if self.deli_ways > 0 and selected(victim["core"], victim["pc"]):
                 victim["seq"] = self.retentions
                 self.retentions += 1
@@ -277,8 +294,9 @@ class RefPartitionedNUCache(RefNUCache):
     """
 
     def __init__(self, num_sets: int, main_ways: int, deli_ways: int,
-                 num_cores: int, deli_replacement: str = "fifo") -> None:
-        super().__init__(num_sets, main_ways, deli_ways, deli_replacement)
+                 num_cores: int, deli_replacement: str,
+                 profiler: "RefNextUseProfiler") -> None:
+        super().__init__(num_sets, main_ways, deli_ways, deli_replacement, profiler)
         self.num_cores = num_cores
         self.allocation: List[int] = []
 
@@ -390,20 +408,15 @@ def make_reference(policy: str, config: SystemConfig, seed: int = 0):
     geometry = config.llc
     if policy == "lru":
         return RefLRUCache(geometry.num_sets, geometry.ways)
-    if policy == "nucache":
-        return RefNUCache(
-            geometry.num_sets,
-            geometry.ways - config.nucache.deli_ways,
-            config.nucache.deli_ways,
-            config.nucache.deli_replacement,
-        )
-    if policy == "nucache-ucp":
+    nucache = config.nucache
+    if policy in ("nucache", "nucache-ucp"):
+        profiler = RefNextUseProfiler(nucache.history_capacity, nucache.sample_period)
+        profiler.begin_epoch(0)
+        split = (geometry.num_sets, geometry.ways - nucache.deli_ways, nucache.deli_ways)
+        if policy == "nucache":
+            return RefNUCache(*split, nucache.deli_replacement, profiler)
         return RefPartitionedNUCache(
-            geometry.num_sets,
-            geometry.ways - config.nucache.deli_ways,
-            config.nucache.deli_ways,
-            config.num_cores,
-            config.nucache.deli_replacement,
+            *split, config.num_cores, nucache.deli_replacement, profiler
         )
     builder = _TWIN_FACTORIES.get(policy)
     if builder is None:
@@ -419,10 +432,14 @@ class DifferentialHarness:
     Call :meth:`access` instead of ``llc.access``; it performs the
     kernel access, mirrors it into the reference, and compares hit/miss
     outcome, the accessed set's full contents (per-way or in recency/
-    FIFO order), and the global counters.  With ``sanitize=True`` (the
-    default) the structural sanitizer also runs over the kernel each
-    access, so the fuzzer catches corruption even when both models
-    accidentally agree.
+    FIFO order), and the global counters.  For NUcache, each epoch the
+    kernel's controller closes is also compared with the reference
+    profiler's epoch profile, which checks the Next-Use monitor on the
+    calls the cache really makes; the harness must start with the
+    kernel fresh.  With
+    ``sanitize=True`` (the default) the structural sanitizer also runs
+    over the kernel each access, so the fuzzer catches corruption even
+    when both models accidentally agree.
     """
 
     def __init__(self, kernel, reference, sanitize: bool = True) -> None:
@@ -439,8 +456,12 @@ class DifferentialHarness:
         set_index, tag = kernel.split_address(block_addr)
         if self._is_nucache:
             # Captured *before* the kernel access: epoch rotation fires
-            # at the end of the access, after the fill decided retention.
-            selected = frozenset(kernel.controller.selected_keys())
+            # at the end of the access, after the fill decided retention
+            # and the victim's profiled slot.
+            controller = kernel.controller
+            selected = frozenset(controller.selected_keys())
+            slot_table = dict(controller._slot_of)
+            epochs = controller.epochs_completed
         hit = kernel.access(block_addr, core, pc, is_write)
         if self._is_partitioned:
             # Read *after* the access: repartitioning fires at the start
@@ -450,6 +471,9 @@ class DifferentialHarness:
             ref_hit = self.reference.access(
                 set_index, tag, core, pc, is_write,
                 lambda victim_core, victim_pc: (victim_core, victim_pc) in selected,
+                lambda victim_core, victim_pc: slot_table.get(
+                    (victim_core, victim_pc), -1
+                ),
             )
         else:
             ref_hit = self.reference.access(set_index, tag, core, pc, is_write)
@@ -462,6 +486,8 @@ class DifferentialHarness:
             )
         diffs.extend(self._diff_set(set_index))
         diffs.extend(self._diff_counters())
+        if self._is_nucache and controller.epochs_completed != epochs:
+            diffs.extend(self._diff_profile())
         if self.sanitize:
             diffs.extend(check_llc(kernel))
         if diffs:
@@ -503,11 +529,11 @@ class DifferentialHarness:
     def _diff_nucache_set(self, set_index: int) -> List[str]:
         """Compare MainWay recency order and DeliWay FIFO order."""
         nu_set = self.kernel.sets[set_index]
-        lines = nu_set.main_lines
+        indexed = set(nu_set.tag_to_way.values())
         kernel_main = [
-            (lines[way].tag, lines[way].dirty)
-            for way in nu_set.main_policy.stack
-            if lines[way].valid
+            (nu_set.tags[way], nu_set.dirty[way])
+            for way in nu_set.stack
+            if way in indexed
         ]
         ref_main = [
             (entry["tag"], entry["dirty"])
@@ -532,6 +558,33 @@ class DifferentialHarness:
                 f"{kernel_deli!r} vs reference {ref_deli!r}"
             )
         return diffs
+
+    def _diff_profile(self) -> List[str]:
+        """Compare the epoch the kernel just closed with the reference's.
+
+        Then opens the reference profiler's next epoch over the kernel's
+        new candidate table.
+        """
+        controller = self.kernel.controller
+        profiler = self.reference.profiler
+        expected = profiler.finish_epoch()
+        profiler.begin_epoch(len(controller._slot_of))
+        actual = controller.last_profile
+        pairs = [
+            ("candidate slots", actual.num_slots, expected.num_slots),
+            ("sample period", actual.sample_period, expected.sample_period),
+            ("evictions per slot", actual.evictions_per_slot,
+             expected.evictions_per_slot),
+            ("event slots", actual.event_pc.tolist(), expected.event_pc.tolist()),
+            ("event deltas", actual.event_deltas.tolist(),
+             expected.event_deltas.tolist()),
+        ]
+        return [
+            f"epoch {controller.epochs_completed} Next-Use profile diverged in "
+            f"its {name}: kernel {kernel_value!r} vs reference {reference_value!r}"
+            for name, kernel_value, reference_value in pairs
+            if kernel_value != reference_value
+        ]
 
     def _diff_counters(self) -> List[str]:
         """Compare global counters (implicitly diffs victim choices)."""

@@ -2,11 +2,15 @@
 
 The controller owns everything about NUcache that is *not* the way
 organization: the delinquent-PC candidate table, the Next-Use profiler,
-the per-epoch miss accounting and the end-of-epoch selection.  The
-:class:`~repro.nucache.organization.NUCache` calls into it from its
-access path and asks it two questions on that path: "which candidate
-slot does this (core, PC) map to?" and "is this slot selected?".  The
-cache feeds the eviction and reuse stream to :attr:`profiler` directly.
+the per-epoch miss accounting and the end-of-epoch selection.  On its
+access path the :class:`~repro.nucache.organization.NUCache` asks two
+questions, "which candidate slot does this (core, PC) map to?" and "is
+this slot selected?", and counts accesses and misses.  It does all of
+that, and the :attr:`profiler`'s eviction and reuse updates, inline:
+:meth:`note_access`, :meth:`note_miss` and :meth:`is_selected` are the
+reference bodies of those copies, so a change to one of them must be
+made to ``NUCache.access`` too (the differential oracle and the golden
+payloads catch a copy that drifts).
 
 Epoch protocol (lengths measured in LLC misses, as in the paper):
 

@@ -21,6 +21,12 @@ bounds the FIFO (reuses farther than the capacity are invisible, exactly
 as in hardware), and ``sample_period`` optionally restricts profiling to
 every Nth set (the hardware-friendly variant, evaluated as an ablation).
 
+``NUCache.access`` runs :meth:`NextUseProfiler.on_eviction` and
+:meth:`NextUseProfiler.on_reuse` as inlined copies on its hot path;
+these methods are the reference bodies, and the differential oracle's
+profile lockstep checks the copies against
+:class:`~repro.check.oracle.RefNextUseProfiler`.
+
 Software representation: instead of snapshotting every counter at each
 eviction, the profiler appends the evicted line's slot to an epoch-long
 eviction log and remembers only the log position.  A reuse records the

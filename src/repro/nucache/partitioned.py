@@ -8,15 +8,16 @@ partitioned among cores by UMON + lookahead (exactly as in
 cost-benefit PC retention across cores.
 
 Concretely, the only change to NUcache's data path is MainWay victim
-choice: instead of global LRU, pick the LRU line of an over-quota core
-(or of the requester when nobody is over).  Everything downstream —
-retention of selected victims, the profiler, selection epochs — is
-inherited unchanged.
+choice (:meth:`PartitionedNUCache._choose_victim`, which the fused
+:meth:`NUCache.access` calls when a set is full): instead of global
+LRU, pick the LRU line of an over-quota core (or of the requester when
+nobody is over).  Everything downstream — retention of selected
+victims, the profiler, selection epochs — is inherited unchanged.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.common.config import CacheGeometry, NUcacheConfig
 from repro.nucache.organization import NUCache, _NUcacheSet
@@ -81,44 +82,24 @@ class PartitionedNUCache(NUCache):
         self.repartitions += 1
         return self.allocation
 
-    def _fill_main(self, nu_set: _NUcacheSet, set_index: int, tag: int,
-                   core: int, pc: int, pc_slot: int, dirty: bool) -> None:
-        """Quota-aware MainWay fill (overrides global-LRU victim choice)."""
-        if nu_set.free_ways:
-            way = nu_set.free_ways.pop()
-        else:
-            way = self._choose_victim(nu_set, core)
-            self._evict_main(nu_set, set_index, way)
-        line = nu_set.main_lines[way]
-        line.fill(tag, core, pc, dirty)
-        line.pc_slot = pc_slot
-        nu_set.main_tag_to_way[tag] = way
-        nu_set.main_policy.insert(way, core, pc)
-
     def _choose_victim(self, nu_set: _NUcacheSet, requester: int) -> int:
-        """UCP-style replacement-based enforcement over the MainWays."""
-        counts = [0] * self.num_cores
-        for line in nu_set.main_lines:
-            if line.valid and 0 <= line.core < self.num_cores:
-                counts[line.core] += 1
-        over = self._lru_way_matching(
-            nu_set,
-            lambda line: (
-                line.core != requester
-                and 0 <= line.core < self.num_cores
-                and counts[line.core] > self.allocation[line.core]
-            ),
-        )
-        if over is not None:
-            return over
-        own = self._lru_way_matching(nu_set, lambda line: line.core == requester)
-        if own is not None:
-            return own
-        return nu_set.main_policy.victim()
+        """UCP-style replacement-based enforcement over a full set's MainWays.
 
-    def _lru_way_matching(self, nu_set: _NUcacheSet, predicate) -> Optional[int]:
-        for way in reversed(nu_set.main_policy.stack):
-            line = nu_set.main_lines[way]
-            if line.valid and predicate(line):
+        The LRU line of a core over its quota (other than the
+        requester), else the requester's own LRU line, else the LRU line.
+        """
+        cores = nu_set.cores
+        allocation = self.allocation
+        over = [
+            core for core in range(self.num_cores)
+            if core != requester and cores.count(core) > allocation[core]
+        ]
+        stack = nu_set.stack
+        if over:
+            for way in reversed(stack):
+                if cores[way] in over:
+                    return way
+        for way in reversed(stack):
+            if cores[way] == requester:
                 return way
-        return None
+        return stack[-1]

@@ -31,6 +31,75 @@ class TestGrid:
         for case in fuzz.default_grid(quick=False):
             assert case.ways - case.deli_ways >= 2
 
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    def test_grid_covers_every_nucache_variant(self, quick):
+        from repro.nucache.selection import SELECTORS
+
+        cases = fuzz.default_grid(quick=quick)
+        for policy in ("nucache", "nucache-ucp"):
+            family = [case for case in cases if case.policy == policy]
+            assert any(case.deli_replacement == "lru" for case in family)
+            assert any(case.sample_period == 2 for case in family)
+            assert any(case.history_capacity == 8 for case in family)
+            assert {case.selector for case in family} == set(SELECTORS)
+
+    def test_default_cases_keep_their_labels(self):
+        """A default case's label seeds its stream, so it must not move."""
+        labels = [case.describe() for case in fuzz.default_grid(quick=True)]
+        assert labels[:3] == [
+            "lru 16x4 cores=2 n=1200 seed=20110212",
+            "lru 8x8 cores=2 n=1200 seed=20110212",
+            "dip 16x4 cores=2 n=1200 seed=20110212",
+        ]
+        assert "nucache-ucp 8x8 deli=2 cores=2 n=1200 seed=20110212" in labels
+        variant = fuzz.FuzzCase(policy="nucache", sample_period=2, selector="topk")
+        assert variant.describe() == (
+            "nucache 16x8 deli=2 cores=2 n=2000 seed=20110212 sample_period=2 "
+            "selector=topk"
+        )
+
+    def test_variant_cases_configure_the_llc(self):
+        case = fuzz.FuzzCase(
+            policy="nucache", deli_replacement="lru", sample_period=2,
+            history_capacity=8, selector="oracle",
+        )
+        config = fuzz.system_config(case).nucache
+        assert (config.deli_replacement, config.sample_period,
+                config.history_capacity, config.selector) == (
+            "lru", 2, 8, "oracle",
+        )
+
+    def test_small_history_case_pops_its_history(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.nucache import nextuse
+
+        pops = []
+
+        class CountingHistory(OrderedDict):
+            def popitem(self, last=True):
+                pops.append(last)
+                return super().popitem(last=last)
+
+        monkeypatch.setattr(nextuse, "OrderedDict", CountingHistory)
+        case = next(
+            case for case in fuzz.default_grid(quick=True)
+            if case.policy == "nucache" and case.history_capacity == 8
+        )
+        assert fuzz.run_case(case, shrink=False) is None
+        assert pops and not any(pops)  # FIFO pops, oldest first
+
+    def test_lru_ablation_case_refreshes_deliway_hits(self):
+        case = next(
+            case for case in fuzz.default_grid(quick=True)
+            if case.policy == "nucache" and case.deli_replacement == "lru"
+        )
+        harness = fuzz.build_harness(case)
+        for access in fuzz.generate_stream(case):
+            harness.access(*access)
+        assert harness.kernel.deli_hits > 0
+        assert harness.kernel.promotions == 0
+
 
 class TestStreams:
     def test_stream_is_deterministic(self):
@@ -46,10 +115,17 @@ class TestStreams:
 
     def test_case_round_trips_through_json(self):
         case = fuzz.FuzzCase(policy="nucache", sets=8, ways=8, deli_ways=3,
-                             seed=42)
+                             seed=42, sample_period=2, selector="all")
         assert fuzz.FuzzCase.from_dict(
             json.loads(json.dumps(case.to_dict()))
         ) == case
+
+    def test_reproducer_without_nucache_settings_loads_defaults(self):
+        payload = fuzz.FuzzCase(policy="nucache").to_dict()
+        for name in ("deli_replacement", "sample_period", "history_capacity",
+                     "selector"):
+            del payload[name]
+        assert fuzz.FuzzCase.from_dict(payload) == fuzz.FuzzCase(policy="nucache")
 
 
 class TestShrinking:
@@ -108,7 +184,8 @@ class TestRunCheck:
         report = fuzz.run_check(quick=True, policies=("lru", "nucache"),
                                 accesses=400)
         assert report.ok
-        assert report.cases == 4  # two policies x two quick geometries
+        # Two policies x two quick geometries, plus NUcache's variants.
+        assert report.cases == 4 + len(fuzz.NUCACHE_VARIANTS)
 
     def test_forced_violation_produces_exactly_one_failure(self, tmp_path,
                                                            monkeypatch):

@@ -86,6 +86,42 @@ class TestDivergenceDetection:
             harness.access(block_addr, core, pc, is_write)
         assert any("counter hits diverged" in v for v in info.value.violations)
 
+    @pytest.mark.parametrize("policy", ("nucache", "nucache-ucp"))
+    def test_forgotten_history_entry_diverges_the_profile(self, policy):
+        """The data path and the sanitizer cannot see a lost Next-Use
+        history entry; the profile lockstep does, at the epoch's end."""
+
+        def forget_pending_eviction(llc):
+            history = llc.controller.profiler._history
+            if not history:
+                raise AssertionError("no pending eviction to forget")
+            history.popitem(last=False)
+
+        case = fuzz.FuzzCase(policy=policy, accesses=2000)
+        outcome = _replay(case, corrupt_after=900, corruptor=forget_pending_eviction)
+        assert outcome is not None
+        violation, index = outcome
+        assert index >= 900
+        assert all("Next-Use profile diverged" in v for v in violation.violations)
+
+    def test_every_closed_epoch_is_compared(self, monkeypatch):
+        case = fuzz.FuzzCase(policy="nucache", sample_period=2, accesses=1500)
+        harness = fuzz.build_harness(case)
+        compared = []
+        original = harness._diff_profile
+
+        def counting_diff():
+            compared.append(harness.kernel.controller.epochs_completed)
+            return original()
+
+        monkeypatch.setattr(harness, "_diff_profile", counting_diff)
+        for access in fuzz.generate_stream(case):
+            harness.access(*access)
+        epochs = harness.kernel.controller.epochs_completed
+        assert epochs >= 3
+        assert compared == list(range(1, epochs + 1))
+        assert harness.kernel.controller.last_profile.num_events > 0
+
     def test_violation_snapshot_carries_both_views(self):
         case = fuzz.FuzzCase(policy="nucache", accesses=800)
         outcome = _replay(case, corrupt_after=700)

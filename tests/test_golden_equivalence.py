@@ -9,7 +9,10 @@ against artifacts captured from the unoptimized kernel:
 * ``tests/golden/simresults.json`` — ``SimResult.to_dict()`` payloads
   for 13 runs spanning every hot path (plain policies, NUcache, RRIP/
   SHiP/DIP families, UCP and the partitioned hybrid, prefetching, the
-  bandwidth memory model).
+  bandwidth memory model), plus 19 NUcache runs that pin its ablations
+  (DeliWay replacement, profiler sampling and history capacity, epoch
+  length, the way split, every selector) and a 4-core partitioned mix,
+  captured before the NUcache set moved onto slot lists.
 * ``tests/golden/fig3_fig5_scale05.txt`` — full CLI stdout of
   ``REPRO_SCALE=0.05 run fig3 fig5``.
 * Three pinned :meth:`SimJob.key` hashes — a semantics-preserving
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -43,6 +47,31 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Golden runs: key -> thunk producing the SimResult.
 _SINGLE_POLICIES = ["lru", "nucache", "srrip", "ship", "dip", "sdbp"]
 _MIX_POLICIES = ["lru", "nucache", "tadip", "drrip", "ucp", "nucache-ucp"]
+
+
+#: NUcache ablation goldens: name -> NUcacheConfig overrides.  art_like
+#: selects nothing at this length under the defaults, so omnetpp_like
+#: (and gcc_like for the oracle) pin runs where the ablation moves the
+#: payload.
+_NUCACHE_ABLATIONS = {
+    "deli_replacement=lru": {"deli_replacement": "lru"},
+    "sample_period=8": {"sample_period": 8},
+    "history_capacity=512": {"history_capacity": 512},
+    "epoch_misses=2500": {"epoch_misses": 2500},
+    "deli_ways=0": {"deli_ways": 0},
+    "deli_ways=14": {"deli_ways": 14},
+    "selector=topk": {"selector": "topk"},
+    "selector=all": {"selector": "all"},
+    # fig9's reduced pool, which keeps the exhaustive search tractable.
+    "selector=oracle": {
+        "selector": "oracle", "num_candidate_pcs": 10, "max_selected_pcs": 5,
+    },
+}
+_NUCACHE_ABLATION_RUNS = [
+    (workload, name)
+    for workload in ("art_like", "omnetpp_like")
+    for name in _NUCACHE_ABLATIONS
+] + [("gcc_like", "selector=oracle")]
 
 
 def _golden_payloads() -> dict:
@@ -109,6 +138,63 @@ class TestSimResultGoldenVectorBackend:
             ["art_like", "mcf_like"], "nucache", None, 12_000, 7, 0.25,
             "stride", "bandwidth",
         )
+        assert result.to_dict() == golden
+
+
+class _CountingHistory(OrderedDict):
+    """A Next-Use history that counts its capacity pops."""
+
+    pops = 0
+
+    def popitem(self, last: bool = True):
+        _CountingHistory.pops += 1
+        return super().popitem(last=last)
+
+
+@pytest.fixture(params=["default", "scalar", "vector"])
+def engine_env(request, monkeypatch):
+    """Run under the default engine choice, or force one backend."""
+    from repro.sim.vector import ENGINE_ENV
+
+    if request.param == "default":
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    else:
+        monkeypatch.setenv(ENGINE_ENV, request.param)
+    return request.param
+
+
+class TestNUcacheAblationGolden:
+    """NUcache's ablations and a 4-core partitioned mix, on every engine."""
+
+    @pytest.mark.parametrize(
+        "workload,ablation", _NUCACHE_ABLATION_RUNS,
+        ids=[f"{workload}:{name}" for workload, name in _NUCACHE_ABLATION_RUNS],
+    )
+    def test_single_ablation_byte_identical(self, engine_env, workload, ablation):
+        golden = _golden_payloads()[f"single:{workload}:nucache:{ablation}"]
+        result = run_single(
+            workload, "nucache", 12_000, 20110212,
+            **_NUCACHE_ABLATIONS[ablation],
+        )
+        assert result.to_dict() == golden
+
+    def test_small_history_pops_and_stays_byte_identical(
+        self, engine_env, monkeypatch
+    ):
+        from repro.nucache import nextuse
+
+        monkeypatch.setattr(nextuse, "OrderedDict", _CountingHistory)
+        monkeypatch.setattr(_CountingHistory, "pops", 0)
+        result = run_single(
+            "art_like", "nucache", 12_000, 20110212, history_capacity=512
+        )
+        assert _CountingHistory.pops > 0
+        golden = _golden_payloads()["single:art_like:nucache:history_capacity=512"]
+        assert result.to_dict() == golden
+
+    def test_four_core_partitioned_mix_byte_identical(self, engine_env):
+        golden = _golden_payloads()["mix:mix4_1:nucache-ucp"]
+        result = run_mix("mix4_1", "nucache-ucp", 12_000, 20110212)
         assert result.to_dict() == golden
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.check import fuzz, invariants
 from repro.check.invariants import (
@@ -66,6 +72,30 @@ class TestMode:
             current_mode()
 
 
+class TestPackageImports:
+    def test_oracle_and_fuzzer_load_on_first_use(self):
+        """An engine run imports the checker only, not the oracle or fuzzer."""
+        code = (
+            "import sys\n"
+            "import repro.check\n"
+            "from repro.check.invariants import engine_checker\n"
+            "lazy = ('repro.check.oracle', 'repro.check.fuzz')\n"
+            "assert not any(name in sys.modules for name in lazy), sys.modules\n"
+            "assert repro.check.run_check.__module__ == 'repro.check.fuzz'\n"
+            "assert repro.check.make_reference.__module__ == 'repro.check.oracle'\n"
+            "assert all(name in sys.modules for name in lazy)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro.check
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.check.no_such_name  # noqa: B018
+
+
 class TestCleanStructures:
     @pytest.mark.parametrize(
         "policy", ["lru", "srrip", "sdbp", "nucache", "nucache-ucp", "ucp", "pipp"]
@@ -84,17 +114,17 @@ class TestCleanStructures:
 class TestCorruptionDetection:
     def test_tag_in_both_main_and_deli(self):
         llc = _populated()
-        nu_set = next(s for s in llc.sets if s.main_tag_to_way)
-        tag, way = next(iter(nu_set.main_tag_to_way.items()))
-        line = nu_set.main_lines[way]
+        nu_set = next(s for s in llc.sets if s.tag_to_way)
+        tag, way = next(iter(nu_set.tag_to_way.items()))
         nu_set.deli[tag] = _DeliEntry(
-            line.core, line.pc, line.pc_slot, line.dirty, seq=llc.retentions
+            nu_set.cores[way], nu_set.pcs[way], nu_set.slots[way],
+            nu_set.dirty[way], seq=llc.retentions,
         )
         assert any("both MainWays and DeliWays" in v for v in check_llc(llc))
 
     def test_broken_main_stack_permutation(self):
         llc = _populated()
-        stack = llc.sets[0].main_policy.stack
+        stack = llc.sets[0].stack
         stack[0] = stack[1]
         assert any("not a permutation" in v for v in check_llc(llc))
 

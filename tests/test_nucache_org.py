@@ -77,7 +77,7 @@ class TestBasicBehaviour:
         cache.access(2, 0, 0x99, False)  # 0 -> deli
         cache.access(0, 0, 0x40, False)  # deli hit -> promote
         nu_set = cache.set_of(0)
-        assert 0 in nu_set.main_tag_to_way
+        assert 0 in nu_set.tag_to_way
         assert 0 not in nu_set.deli
 
     def test_deli_fifo_overflow_evicts_oldest(self):
@@ -144,7 +144,7 @@ class TestDeliLRUMode:
         assert cache.access(0, 0, 0x40, False)  # hit, stays in deli
         nu_set = cache.set_of(0)
         assert 0 in nu_set.deli
-        assert 0 not in nu_set.main_tag_to_way
+        assert 0 not in nu_set.tag_to_way
 
 
 class TestLRUEquivalence:
@@ -191,12 +191,11 @@ class TestEpochIntegration:
         cache.access(0, 0, 0x40, False)
         cache.controller.rotate(cache._remap_slots)
         nu_set = cache.set_of(0)
-        way = nu_set.main_tag_to_way[0]
-        line = nu_set.main_lines[way]
+        way = nu_set.tag_to_way[0]
         # (0, 0x40) missed once; it stays a candidate, so the slot must
         # be remapped to a valid slot, not left stale.
         slot = cache.controller.slot_of(0, 0x40)
-        assert line.pc_slot == slot
+        assert nu_set.slots[way] == slot
 
     def test_split_address_roundtrip(self):
         cache = _nucache(sets=4, ways=4)

@@ -98,5 +98,5 @@ class TestBehaviour:
         for block in range(40):
             hybrid.access(block, core=block % 2, pc=block % 3, is_write=False)
         for nu_set in hybrid.sets:
-            assert len(nu_set.main_tag_to_way) <= hybrid.main_ways
+            assert len(nu_set.tag_to_way) <= hybrid.main_ways
             assert len(nu_set.deli) <= hybrid.deli_ways

@@ -103,12 +103,13 @@ class TestNUcacheProperties:
             cache.access(block, 0, pc, False)
         for nu_set in cache.sets:
             # Main structures consistent.
-            valid = [line for line in nu_set.main_lines if line.valid]
-            assert len(valid) == len(nu_set.main_tag_to_way)
-            for tag, way in nu_set.main_tag_to_way.items():
-                assert nu_set.main_lines[way].tag == tag
+            valid = set(range(cache.main_ways)) - set(nu_set.free)
+            assert len(valid) == len(nu_set.tag_to_way)
+            for tag, way in nu_set.tag_to_way.items():
+                assert way in valid
+                assert nu_set.tags[way] == tag
             # A tag is never in both MainWays and DeliWays.
-            assert not set(nu_set.main_tag_to_way) & set(nu_set.deli)
+            assert not set(nu_set.tag_to_way) & set(nu_set.deli)
             # DeliWays never exceed their capacity.
             assert len(nu_set.deli) <= cache.deli_ways
 
