@@ -74,6 +74,7 @@ def lru_access_case(quick: bool = False, ops_scale: float = 1.0) -> BenchCase:
 
     def run_once() -> float:
         cache = SetAssociativeCache(geometry, lru_factory(), "bench-lru")
+        cache.build_sets()  # built on first use otherwise: keep it untimed
         access = cache.access
         start = time.perf_counter()
         for block, write in zip(blocks, writes):

@@ -9,11 +9,12 @@ used for every non-partitioned organization and for the private levels.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import Iterator, List, Tuple
 
 from repro.cache.line import CacheLine
-from repro.cache.replacement.base import PolicyFactory
+from repro.cache.replacement.base import PolicyFactory, ReplacementPolicy
 from repro.cache.replacement.basic import LRUPolicy
 from repro.cache.set_ import CacheSet
 from repro.common.config import CacheGeometry
@@ -68,28 +69,87 @@ class LastLevelCache(ABC):
         }
 
 
+class _UnbuiltSets:
+    """A :class:`SetAssociativeCache`'s ``sets`` before they are built.
+
+    A plain-LRU cache keeps this until something first reads its sets:
+    the full-vector engine resolves a plain-LRU LLC without reading
+    them, so the cache defers building them (2048
+    :class:`CacheSet`/:class:`LRUPolicy` pairs for an 8-core LLC).
+    Every other policy builds its sets at construction.  The first
+    index, iteration or ``len`` builds the list through
+    :meth:`SetAssociativeCache.build_sets`, which puts it in the
+    cache's ``sets``: from then on the access path indexes a plain
+    list, with no check of its own.
+    """
+
+    __slots__ = ("cache", "factory", "first")
+
+    def __init__(self, cache: "SetAssociativeCache", factory: PolicyFactory,
+                 first: ReplacementPolicy) -> None:
+        # Weak: the cache holds this object, and a cycle would keep a
+        # cache that never built its sets alive until a full collection.
+        self.cache = weakref.ref(cache)
+        self.factory = factory
+        #: Set 0's policy, made at construction to learn the policy type.
+        self.first = first
+
+    def __getitem__(self, index: int) -> CacheSet:
+        return self.cache().build_sets()[index]
+
+    def __iter__(self) -> Iterator[CacheSet]:
+        return iter(self.cache().build_sets())
+
+    def __len__(self) -> int:
+        return len(self.cache().build_sets())
+
+
 class SetAssociativeCache(LastLevelCache):
-    """A cache whose behaviour is fully defined by a replacement policy."""
+    """A cache whose behaviour is fully defined by a replacement policy.
+
+    A plain-LRU cache builds its sets on first use (see
+    :class:`_UnbuiltSets`); every other policy's sets are built here.
+    """
 
     def __init__(self, geometry: CacheGeometry, policy_factory: PolicyFactory, name: str) -> None:
         super().__init__(geometry)
         self.name = name
-        ways = geometry.ways
-        self.sets: List[CacheSet] = [
-            CacheSet(ways, policy_factory(ways, index)) for index in range(geometry.num_sets)
-        ]
-        self._set_mask = geometry.num_sets - 1
-        self._index_bits = geometry.num_sets.bit_length() - 1
+        first = policy_factory(geometry.ways, 0)
         # Plain LRU (exact type: subclasses change semantics) never
         # bypasses, so the per-miss should_bypass call can be skipped.
-        self._plain_lru = bool(self.sets) and type(self.sets[0].policy) is LRUPolicy
+        self._plain_lru = type(first) is LRUPolicy
+        self.sets: List[CacheSet] = _UnbuiltSets(  # type: ignore[assignment]
+            self, policy_factory, first
+        )
+        if not self._plain_lru:
+            self.build_sets()
+        self._set_mask = geometry.num_sets - 1
+        self._index_bits = geometry.num_sets.bit_length() - 1
         #: Lines installed (misses that were not bypassed).
         self.fills = 0
 
+    def build_sets(self) -> List[CacheSet]:
+        """The sets as a list, built first if they are still deferred."""
+        sets = self.sets
+        if type(sets) is _UnbuiltSets:
+            ways, factory = self.geometry.ways, sets.factory
+            self.sets = sets = [CacheSet(ways, sets.first)] + [
+                CacheSet(ways, factory(ways, index))
+                for index in range(1, self.geometry.num_sets)
+            ]
+        return sets
+
     def access(self, block_addr: int, core: int, pc: int, is_write: bool) -> bool:
-        # The simulator's hottest function: one combined set lookup and
-        # inlined stats bookkeeping (SharedCacheStats.record unrolled)
-        # instead of the find/touch/record call chain.
+        """Service one access; returns True on hit.
+
+        One combined set lookup and inlined stats bookkeeping
+        (``SharedCacheStats.record`` unrolled) instead of the
+        find/touch/record call chain.  :meth:`CoreModel.finish_pass
+        <repro.sim.core.CoreModel.finish_pass>` inlines a literal copy
+        of this body, with the LRU branches of :meth:`CacheSet.lookup`
+        and :meth:`CacheSet.allocate`, for the private L1 and L2: a
+        change here must be made there too.
+        """
         cache_set = self.sets[block_addr & self._set_mask]
         tag = block_addr >> self._index_bits
         way = cache_set.lookup(tag, core, is_write)

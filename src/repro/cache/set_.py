@@ -74,7 +74,9 @@ class CacheSet:
 
         Returns the way holding ``tag`` after recording the hit on it,
         or -1 on miss (no state changes).  Equivalent to ``find`` then
-        ``touch``, minus the call overhead on the hot path.
+        ``touch``, minus the call overhead on the hot path.  The LRU
+        branch has a literal copy in ``CoreModel.finish_pass``'s private
+        L1/L2 walk, which a change here must follow.
         """
         way = self._tag_to_way.get(tag, -1)
         if way >= 0:
@@ -113,6 +115,9 @@ class CacheSet:
         recency stacks) resets its per-way state there — so a later
         free-way fill's ``insert`` sees a way indistinguishable from a
         never-used one.  ``tests/test_invalidate_refill.py`` pins this.
+        The LRU branches have a literal copy in
+        ``CoreModel.finish_pass``'s private L1/L2 walk, which a change
+        here must follow.
 
         Returns:
             ``(evicted_tag, evicted_dirty)`` when a valid line was

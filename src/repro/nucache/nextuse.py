@@ -178,6 +178,10 @@ class NextUseProfiler:
         eviction traffic nor enter the history: they could never be
         retained, so they are invisible to the cost-benefit model.  Only
         every ``sample_period``-th set is profiled.
+
+        The ``move_to_end`` serves a caller that evicts a block still in
+        the history.  ``NUCache.access``'s inlined copy leaves it out:
+        its victims' fills ran the reuse lookup, which popped them.
         """
         if pc_slot < 0 or set_index % self.sample_period:
             return

@@ -253,14 +253,16 @@ class NUCache(LastLevelCache):
             victim_tag = nu_set.tags[way]
             del tag_to_way[victim_tag]
             victim_slot = nu_set.slots[way]
-            # NextUseProfiler.on_eviction
+            # NextUseProfiler.on_eviction, less its move_to_end: the
+            # victim's address is never in the history here (its fill
+            # ran the reuse lookup above, which popped it), so the
+            # insert already puts it last.
             if victim_slot >= 0 and not set_index % sample_period:
                 profiler._evictions[victim_slot] += 1
                 log = profiler._log
                 history = profiler._history
                 victim_addr = (victim_tag << self._index_bits) | set_index
                 history[victim_addr] = len(log)
-                history.move_to_end(victim_addr)
                 log.append(victim_slot)
                 if len(history) > profiler.history_capacity:
                     history.popitem(last=False)

@@ -20,9 +20,11 @@ from repro.cache.cache import (
     LastLevelCache,
     SetAssociativeCache,
 )
+from repro.cache.line import NO_PC_SLOT
 from repro.cache.replacement.basic import lru_factory
 from repro.common.addr import log2_exact
 from repro.common.config import LatencyConfig, SystemConfig
+from repro.common.stats import AccessStats
 from repro.prefetch.prefetchers import PREFETCH_PC, Prefetcher
 from repro.sim.memory import FixedLatencyMemory
 from repro.workloads.trace import Trace
@@ -111,6 +113,11 @@ class CoreModel:
         steps a finished core again (see DESIGN.md's methodology
         deviations); a direct caller that does replays the trace with
         the statistics frozen at the first pass.
+
+        This is the reference body of one access.  The engine's heap
+        loop and its per-step-checked loop call it; a lone pending core
+        runs :meth:`finish_pass`, a one-frame copy of this body repeated
+        to the end of the pass, which a change here must follow.
         """
         index = self.cursor
         blocks = self._blocks
@@ -150,6 +157,160 @@ class CoreModel:
             if self.completion_clock < 0:
                 self.completion_clock = self.clock
         return level
+
+    def finish_pass(self, llc: LastLevelCache, memory: FixedLatencyMemory) -> None:
+        """Run the rest of the first pass in one frame.
+
+        The same state changes as calling :meth:`step` until
+        :attr:`first_pass_done`; the engine's loop for a lone pending
+        core (every single-core run, and the tail of a multicore one).
+        The trace lists, the private caches' set lists, masks and
+        latencies, the clock and the counters are locals.  The L1 and
+        L2 (always plain LRU) are walked by literal copies of the LRU
+        branches of :meth:`CacheSet.lookup
+        <repro.cache.set_.CacheSet.lookup>` and :meth:`CacheSet.allocate
+        <repro.cache.set_.CacheSet.allocate>` with
+        :meth:`SetAssociativeCache.access`'s stats bookkeeping; the
+        level counts and the private caches' stats and fill counts are
+        written back before it returns.  The LLC, the memory model and
+        the prefetcher are called as :meth:`step` calls them, so nothing
+        they can observe mid-run (an epoch hook checks only the LLC)
+        differs.  A finished core is left as it is.
+        """
+        if self.completion_clock >= 0:
+            return
+        blocks = self._blocks
+        if blocks is None:
+            blocks = self._load_trace()
+        pcs = self._pcs
+        writes = self._writes
+        core = self.core_id
+        l1, l2 = self.l1, self.l2
+        l1_sets = l1.build_sets()
+        l1_mask = l1._set_mask
+        l1_bits = l1._index_bits
+        l2_sets = l2.build_sets()
+        l2_mask = l2._set_mask
+        l2_bits = l2._index_bits
+        llc_access = llc.access
+        service = memory.service
+        prefetch = None if self.prefetcher is None else self._issue_prefetches
+        lat_l1 = self._lat_l1
+        lat_l2 = self._lat_l2
+        lat_llc = self._lat_llc
+        gap = self.gap
+        warmup = self.warmup_accesses
+        end = self._trace_length
+        index = self.cursor
+        clock = self.clock
+        # Accesses serviced per level, and (w_*) their count when the
+        # warmup window closed, subtracted from the measured counts.
+        n_l1 = n_l2 = n_llc = n_mem = 0
+        w_l1 = w_l2 = w_llc = w_mem = 0
+        evictions1 = writebacks1 = evictions2 = writebacks2 = 0
+        while index < end:
+            block = blocks[index]
+            is_write = writes[index]
+            # L1: CacheSet.lookup's LRU branch.
+            cache_set = l1_sets[block & l1_mask]
+            tag = block >> l1_bits
+            way = cache_set._tag_to_way.get(tag, -1)
+            if way >= 0:
+                stack = cache_set.policy.stack
+                if stack[0] != way:
+                    stack.remove(way)
+                    stack.insert(0, way)
+                if is_write:
+                    cache_set._dirty[way] = True
+                n_l1 += 1
+                clock += gap + lat_l1
+            else:
+                pc = pcs[index]
+                # L1 fill: CacheSet.allocate's LRU branches.
+                tags = cache_set._tags
+                stack = cache_set.policy.stack
+                free = cache_set._free_ways
+                if free:
+                    way = free.pop()
+                    stack.remove(way)
+                else:
+                    way = stack.pop()
+                    evictions1 += 1
+                    if cache_set._dirty[way]:
+                        writebacks1 += 1
+                    del cache_set._tag_to_way[tags[way]]
+                stack.insert(0, way)
+                cache_set._valid[way] = True
+                tags[way] = tag
+                cache_set._dirty[way] = is_write
+                cache_set._cores[way] = core
+                cache_set._pcs[way] = pc
+                cache_set._pc_slots[way] = NO_PC_SLOT
+                cache_set._tag_to_way[tag] = way
+                # L2: the same lookup, then the same fill on a miss.
+                cache_set = l2_sets[block & l2_mask]
+                tag = block >> l2_bits
+                way = cache_set._tag_to_way.get(tag, -1)
+                if way >= 0:
+                    stack = cache_set.policy.stack
+                    if stack[0] != way:
+                        stack.remove(way)
+                        stack.insert(0, way)
+                    if is_write:
+                        cache_set._dirty[way] = True
+                    n_l2 += 1
+                    latency = lat_l2
+                    was_miss = False
+                else:
+                    tags = cache_set._tags
+                    stack = cache_set.policy.stack
+                    free = cache_set._free_ways
+                    if free:
+                        way = free.pop()
+                        stack.remove(way)
+                    else:
+                        way = stack.pop()
+                        evictions2 += 1
+                        if cache_set._dirty[way]:
+                            writebacks2 += 1
+                        del cache_set._tag_to_way[tags[way]]
+                    stack.insert(0, way)
+                    cache_set._valid[way] = True
+                    tags[way] = tag
+                    cache_set._dirty[way] = is_write
+                    cache_set._cores[way] = core
+                    cache_set._pcs[way] = pc
+                    cache_set._pc_slots[way] = NO_PC_SLOT
+                    cache_set._tag_to_way[tag] = way
+                    if llc_access(block, core, pc, is_write):
+                        n_llc += 1
+                        latency = lat_llc
+                        was_miss = False
+                    else:
+                        n_mem += 1
+                        latency = service(clock)
+                        was_miss = True
+                if prefetch is not None:
+                    prefetch(block, pc, was_miss, llc)
+                clock += gap + latency
+            index += 1
+            if index == warmup:
+                self.warmup_clock = clock
+                w_l1, w_l2, w_llc, w_mem = n_l1, n_l2, n_llc, n_mem
+
+        counts = self.level_counts
+        counts[LEVEL_L1] += n_l1 - w_l1
+        counts[LEVEL_L2] += n_l2 - w_l2
+        counts[LEVEL_LLC] += n_llc - w_llc
+        counts[LEVEL_MEMORY] += n_mem - w_mem
+        l2_misses = n_llc + n_mem
+        l1_misses = n_l2 + l2_misses
+        _add_stats(l1, core, n_l1, l1_misses, evictions1, writebacks1)
+        _add_stats(l2, core, n_l2, l2_misses, evictions2, writebacks2)
+        self.clock = clock
+        self.cursor = 0
+        self.passes += 1
+        self.completion_clock = clock
 
     def _load_trace(self) -> List[int]:
         """Build the private caches and the per-access lists :meth:`step` reads.
@@ -217,3 +378,27 @@ class CoreModel:
         """LLC misses per thousand instructions over the measured window."""
         executed = max(1, self._executed_accesses() * (self.gap + 1))
         return 1000.0 * self.llc_misses() / executed
+
+
+def _add_stats(cache: SetAssociativeCache, core: int, hits: int, misses: int,
+               evictions: int, writebacks: int) -> None:
+    """Add :meth:`CoreModel.finish_pass`'s counts to a private cache.
+
+    What :meth:`SetAssociativeCache.access` records per access, summed:
+    every miss fills (the private caches are plain LRU and never
+    bypass), and the core's own counters appear on its first access.
+    """
+    if hits + misses == 0:
+        return
+    stats = cache.stats
+    per_core = stats.per_core.get(core)
+    if per_core is None:
+        per_core = stats.per_core.setdefault(core, AccessStats())
+    total = stats.total
+    total.hits += hits
+    per_core.hits += hits
+    total.misses += misses
+    per_core.misses += misses
+    total.evictions += evictions
+    total.writebacks += writebacks
+    cache.fills += misses

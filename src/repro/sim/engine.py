@@ -238,9 +238,13 @@ class MulticoreEngine:
         scan over the pending cores.  Otherwise only the stepped core's
         clock moves, so a heap keyed that way steps its root until the
         root passes the next core's key: one heap operation per overtake
-        rather than a key call per core per access.  A lone pending core
-        (every single-core run; the tail of every multicore run) runs to
-        its completion with no heap work.
+        rather than a key call per core per access.  Both call
+        :meth:`CoreModel.step` once per access.  A lone pending core
+        (every single-core run; the tail of every multicore run) needs
+        no schedule at all: :meth:`CoreModel.finish_pass` runs the rest
+        of its pass in one frame.  The heap's root is overtaken every
+        1.2 accesses or so on the paper's mixes, too often for a frame
+        per turn to pay.
         """
         cores = self.cores
         llc = self.llc
@@ -272,10 +276,7 @@ class MulticoreEngine:
             else:
                 heappop(heap)
         if heap:
-            runner = heap[0][2]
-            step = runner.step
-            while runner.completion_clock < 0:
-                step(llc, memory)
+            heap[0][2].finish_pass(llc, memory)
 
     def _collect(self) -> SimResult:
         core_results = [

@@ -182,6 +182,62 @@ class TestSetAssociativeCache:
             assert cache_set.occupancy <= 2
 
 
+class TestDeferredLRUSets:
+    """A plain-LRU cache builds its sets on first use; others at once."""
+
+    GEOMETRY = CacheGeometry(size_bytes=8 * 2 * 64, block_bytes=64, ways=2)
+
+    def _recording(self, policy_cls):
+        calls = []
+
+        def factory(ways, set_index):
+            calls.append(set_index)
+            return policy_cls(ways)
+
+        return factory, calls
+
+    def test_lru_sets_wait_for_first_access(self):
+        factory, calls = self._recording(LRUPolicy)
+        cache = SetAssociativeCache(self.GEOMETRY, factory, "lazy")
+        assert cache._plain_lru
+        assert not isinstance(cache.sets, list) and calls == [0]
+        assert not cache.access(5, 0, 0, False)
+        assert isinstance(cache.sets, list) and calls == list(range(8))
+        assert cache.access(5, 0, 0, False)
+
+    @pytest.mark.parametrize("first_use", ["index", "iterate", "len", "probe"])
+    def test_every_reader_builds_the_same_sets(self, first_use):
+        cache = SetAssociativeCache(self.GEOMETRY, lru_factory(), "lazy")
+        if first_use == "index":
+            first = cache.sets[3]
+        elif first_use == "iterate":
+            first = list(cache.sets)[3]
+        elif first_use == "len":
+            assert len(cache.sets) == 8
+            first = cache.sets[3]
+        else:
+            assert not cache.probe(3)
+            first = cache.sets[3]
+        assert cache.build_sets() is cache.sets
+        assert cache.sets[3] is first
+        assert [s.occupancy for s in cache.sets] == [0] * 8
+        assert all(type(s.policy) is LRUPolicy for s in cache.sets)
+
+    def test_build_is_idempotent_through_an_old_reference(self):
+        cache = SetAssociativeCache(self.GEOMETRY, lru_factory(), "lazy")
+        unbuilt = cache.sets
+        built = cache.build_sets()
+        assert unbuilt[2] is built[2] and cache.build_sets() is built
+
+    def test_other_policies_build_every_set_at_construction(self):
+        from repro.cache.replacement.basic import FIFOPolicy
+
+        factory, calls = self._recording(FIFOPolicy)
+        cache = SetAssociativeCache(self.GEOMETRY, factory, "eager")
+        assert not cache._plain_lru
+        assert isinstance(cache.sets, list) and calls == list(range(8))
+
+
 class TestPrivateHierarchy:
     def _parts(self):
         l1 = SetAssociativeCache(

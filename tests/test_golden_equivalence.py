@@ -12,7 +12,9 @@ against artifacts captured from the unoptimized kernel:
   bandwidth memory model), plus 19 NUcache runs that pin its ablations
   (DeliWay replacement, profiler sampling and history capacity, epoch
   length, the way split, every selector) and a 4-core partitioned mix,
-  captured before the NUcache set moved onto slot lists.
+  captured before the NUcache set moved onto slot lists, and 6
+  single-core prefetcher runs (LRU and NUcache under each prefetcher),
+  captured before the lone core's loop was fused into one frame.
 * ``tests/golden/fig3_fig5_scale05.txt`` — full CLI stdout of
   ``REPRO_SCALE=0.05 run fig3 fig5``.
 * Three pinned :meth:`SimJob.key` hashes — a semantics-preserving
@@ -195,6 +197,29 @@ class TestNUcacheAblationGolden:
     def test_four_core_partitioned_mix_byte_identical(self, engine_env):
         golden = _golden_payloads()["mix:mix4_1:nucache-ucp"]
         result = run_mix("mix4_1", "nucache-ucp", 12_000, 20110212)
+        assert result.to_dict() == golden
+
+
+_PREFETCH_RUNS = [
+    (policy, prefetcher)
+    for policy in ("lru", "nucache")
+    for prefetcher in ("nextline", "stride", "stream")
+]
+
+
+class TestPrefetcherGolden:
+    """Single-core prefetcher runs, which take the scalar loop on every
+    engine (and so the lone core's fused frame)."""
+
+    @pytest.mark.parametrize(
+        "policy,prefetcher", _PREFETCH_RUNS,
+        ids=[f"{policy}:{prefetcher}" for policy, prefetcher in _PREFETCH_RUNS],
+    )
+    def test_single_prefetcher_byte_identical(self, engine_env, policy, prefetcher):
+        golden = _golden_payloads()[f"single:art_like:{policy}:prefetcher={prefetcher}"]
+        result = run_single(
+            "art_like", policy, 12_000, 20110212, prefetcher=prefetcher
+        )
         assert result.to_dict() == golden
 
 

@@ -530,7 +530,8 @@ class TestEngineSelection:
 class TestMemoryHygiene:
     """A batched run leaves no scratch memory, per-access lists or private
     caches behind: the cores' L1 and L2 objects are built only for a core
-    that steps."""
+    that steps, and a plain-LRU LLC's sets only for a run that reads
+    them."""
 
     def test_default_lru_mix_releases_pool_and_builds_no_lists(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
@@ -547,6 +548,8 @@ class TestMemoryHygiene:
         assert not vector._POOL
         assert all(core._blocks is None for core in engine.cores)
         assert all(core.l1 is None and core.l2 is None for core in engine.cores)
+        # The kernel resolved the LLC: its CacheSet list was never built.
+        assert not isinstance(engine.llc.sets, list)
 
     def test_default_nucache_mix_replays_without_scalar_lists(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
