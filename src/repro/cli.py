@@ -536,7 +536,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 2
     if args.action == "stats":
         print(store.stats().describe())
-        print(store.describe_health())
     elif args.action == "clear":
         removed = store.clear()
         print(f"removed {removed} entries from {store.base}")

@@ -48,8 +48,8 @@ def backoff_delay(
     ``[0.5, 1.0]`` drawn from the ``(seed, label)`` stream — so a given
     retry site backs off identically on every run and machine, while
     distinct sites (different labels) never synchronize.  A
-    non-positive ``base`` disables backoff entirely.  Shared by the
-    scheduler's retry rounds and the single-flight lease polling.
+    non-positive ``base`` disables backoff entirely.  The scheduler's
+    retry rounds draw their delays from it.
     """
     if base <= 0:
         return 0.0

@@ -9,16 +9,14 @@ treatment:
 * :mod:`~repro.exec.stores` — the local filesystem result store:
   results are persisted by content hash so repeated runs are
   incremental across invocations, every read is invariant-checked with
-  bad entries quarantined, writes are atomic and fsync-durable, and
-  cross-process compute leases arbitrate single-flight execution.
+  bad entries quarantined, and writes are atomic and fsync-durable.
   Point it elsewhere with ``REPRO_STORE`` or ``run --store``
   (``fs``, ``fs://`` or ``fs://PATH``).
 * :class:`~repro.exec.scheduler.Scheduler` — dedups a batch, serves
   cache hits, fans misses across a process pool with retry, backoff, a
-  progress hook, and graceful SIGINT/SIGTERM draining; concurrent
-  schedulers sharing a store compute each missed job exactly once, and
-  a store that fails mid-run degrades to compute-without-cache instead
-  of aborting the batch.
+  progress hook, and graceful SIGINT/SIGTERM draining; a store that
+  fails mid-run degrades to compute-without-cache instead of aborting
+  the batch.
 * :mod:`~repro.exec.journal` — an append-only JSONL manifest per run,
   enabling ``run --resume`` and ``runs list/show``.
 * :mod:`~repro.exec.validate` — the engine invariants every result must
@@ -58,7 +56,6 @@ from repro.exec.journal import RunJournal, RunSummary, find_run, list_runs
 from repro.exec.scheduler import BatchReport, Scheduler
 from repro.exec.stores import (
     FileResultStore,
-    Lease,
     STORE_BACKEND_ENV_VAR,
     STORE_ENV_VAR,
     StoreError,
@@ -77,7 +74,6 @@ __all__ = [
     "FaultyStore",
     "FileResultStore",
     "InjectedFault",
-    "Lease",
     "RunInterrupted",
     "RunJournal",
     "RunSummary",

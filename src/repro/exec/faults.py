@@ -14,10 +14,8 @@ This module provides that as two wrappers:
   store-level fault itself, through the wrapped store's public API:
   ``corrupt`` writes a plausible-but-invalid copy of a fresh result
   (exercising read-validate-quarantine), ``store.put.crash`` fails a
-  write the way a crashed writer would, ``store.get.corrupt`` overwrites
-  an entry with an invalid copy just before it is read, and
-  ``store.lease.orphan`` drops a lease release (stranding the lease for
-  stale takeover).
+  write the way a crashed writer would, and ``store.get.corrupt``
+  overwrites an entry with an invalid copy just before it is read.
 
 Whether a given job is faulted is a pure function of the plan's seed and
 the job's content key (via :mod:`repro.common.rng`), so fault placement
@@ -59,11 +57,7 @@ EXECUTOR_FAULT_KINDS = ("flake", "crash", "hang", "corrupt")
 
 #: Injectable store-level fault kinds (dotted names; mapped onto
 #: :class:`FaultPlan` fields by replacing dots with underscores).
-STORE_FAULT_KINDS = (
-    "store.put.crash",
-    "store.get.corrupt",
-    "store.lease.orphan",
-)
+STORE_FAULT_KINDS = ("store.put.crash", "store.get.corrupt")
 
 #: Every injectable fault kind.
 FAULT_KINDS = EXECUTOR_FAULT_KINDS + STORE_FAULT_KINDS
@@ -93,7 +87,6 @@ class FaultPlan:
     corrupt: float = 0.0
     store_put_crash: float = 0.0
     store_get_corrupt: float = 0.0
-    store_lease_orphan: float = 0.0
     seed: int = 0
     hang_seconds: float = 30.0
     scratch: str = ""
@@ -244,8 +237,6 @@ class FaultyStore:
     * ``store.get.corrupt`` — overwrite an existing entry with an
       invalid copy just before it is read, exercising quarantine on the
       read path.
-    * ``store.lease.orphan`` — swallow a lease release, stranding the
-      lease for another process's stale takeover.
     """
 
     def __init__(self, store, plan: FaultPlan) -> None:
@@ -281,9 +272,3 @@ class FaultyStore:
         if self._plan.fire("corrupt", key):
             result = _violating(result)
         return self._store.put(job, result)
-
-    def release_lease(self, lease) -> bool:
-        """Release via the wrapped store, orphaning planned leases."""
-        if self._plan.fire("store.lease.orphan", lease.key):
-            return False
-        return self._store.release_lease(lease)

@@ -165,7 +165,7 @@ class RunJournal:
             }
             # Robustness counters ride in a separate key, and only when
             # something actually happened — a healthy run's batch
-            # records stay byte-identical to pre-lease journals.
+            # record carries no ``store`` key.
             store_fields = getattr(report, "store_fields", None)
             if store_fields is not None:
                 extras = store_fields()

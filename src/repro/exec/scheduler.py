@@ -34,7 +34,9 @@ a stack trace.
 Simulations are pure functions of their job spec, so a batch's results
 are identical regardless of worker count, cache state, or injected
 faults that retries absorb — ``tests/test_exec.py`` and
-``tests/test_faults.py`` pin this down.
+``tests/test_faults.py`` pin this down.  For the same reason schedulers
+never coordinate with one another: two runs sharing a store may both
+compute a job they both missed, and both puts publish the same result.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import ExecError, RunInterrupted, StoreError
 from repro.common.rng import backoff_delay
 from repro.exec.job import JobResult, SimJob, execute_job, import_job_modules
-from repro.exec.stores.base import DEFAULT_LEASE_TTL
 from repro.exec.stores.fs import FileResultStore
 from repro.exec.validate import validate_result
 from repro.obs.trace import active_tracer
@@ -80,10 +81,6 @@ class BatchReport:
     wall_time: float = 0.0
     #: Store operations that failed and fell back to compute-without-cache.
     degraded: int = 0
-    #: Missed jobs found leased by another process (single-flight waits).
-    lease_contentions: int = 0
-    #: Leases acquired by displacing a stale (crashed/hung) holder.
-    stale_takeovers: int = 0
 
     @property
     def cache_fraction(self) -> float:
@@ -101,10 +98,6 @@ class BatchReport:
         )
         if self.interrupted:
             line += f", {self.interrupted} interrupted"
-        if self.lease_contentions:
-            line += f", {self.lease_contentions} lease waits"
-        if self.stale_takeovers:
-            line += f", {self.stale_takeovers} lease takeovers"
         if self.degraded:
             line += f", {self.degraded} store fallbacks (degraded)"
         return f"{line} in {self.wall_time:.2f}s"
@@ -115,12 +108,7 @@ class BatchReport:
         Empty for a healthy batch, so journals written before the
         pluggable-store work render identically.
         """
-        counters = {
-            "degraded": self.degraded,
-            "lease_contentions": self.lease_contentions,
-            "stale_takeovers": self.stale_takeovers,
-        }
-        return {name: value for name, value in counters.items() if value}
+        return {"degraded": self.degraded} if self.degraded else {}
 
     def merge(self, other: "BatchReport") -> None:
         """Accumulate another report into this one (for run-wide totals)."""
@@ -161,8 +149,6 @@ class _JobState:
     #: what the job died of.
     violations: Optional[List[str]] = None
     snapshot: Optional[Dict[str, object]] = None
-    #: Compute lease held for this job (single-flight), if any.
-    lease: Optional[object] = None
 
 
 class _Interrupted(Exception):
@@ -191,13 +177,6 @@ class Scheduler:
         backoff_base: first retry-round delay in seconds (0 disables
             backoff entirely).
         backoff_cap: upper bound on any single retry-round delay.
-        singleflight: coordinate with other processes through store
-            leases so N schedulers missing the same job compute it once
-            (requires a store that implements leases; silently off
-            otherwise).
-        lease_ttl: heartbeat time-to-live for held leases; a holder that
-            stops heartbeating for this long is presumed dead and its
-            lease taken over.
     """
 
     def __init__(
@@ -211,15 +190,11 @@ class Scheduler:
         execute: Callable[[SimJob], JobResult] = execute_job,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        singleflight: bool = True,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         if retries < 0:
             raise ExecError(f"retries must be >= 0, got {retries}")
         if backoff_base < 0 or backoff_cap < 0:
             raise ExecError("backoff_base and backoff_cap must be >= 0")
-        if lease_ttl <= 0:
-            raise ExecError(f"lease_ttl must be positive, got {lease_ttl}")
         self.jobs = max(1, int(jobs))
         self.store = store
         self.timeout = timeout
@@ -229,17 +204,12 @@ class Scheduler:
         self.execute = execute
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.singleflight = singleflight
-        self.lease_ttl = lease_ttl
         self.last_report: Optional[BatchReport] = None
         #: Per-unique-job outcome of the last run, keyed by content hash:
         #: ``{"status", "attempts", "error", "label", "occurrences"}``.
         self.last_outcomes: Dict[str, Dict[str, object]] = {}
         self._interrupted = False
         self._tracer = None
-        #: Leases currently held by this scheduler, keyed by job key.
-        self._held_leases: Dict[str, object] = {}
-        self._next_renew = 0.0
 
     # ------------------------------------------------------------------
 
@@ -308,11 +278,12 @@ class Scheduler:
             outcome["snapshot"] = state.snapshot
 
     # ------------------------------------------------------------------
-    # Guarded store access and single-flight leases
+    # Guarded store access
     #
     # Every store interaction is wrapped: a store that turns read-only
-    # or becomes unreachable mid-run must never abort the batch.  The failure is counted (``report.degraded``), surfaced in
-    # the trace, and the scheduler computes without the cache.
+    # or becomes unreachable mid-run must never abort the batch.  The
+    # failure is counted (``report.degraded``), surfaced in the trace,
+    # and the scheduler computes without the cache.
     # ------------------------------------------------------------------
 
     def _note_degraded(self, report: BatchReport, op: str, exc: Exception) -> None:
@@ -343,89 +314,6 @@ class Scheduler:
             self.store.put(state.job, result)
         except (StoreError, OSError) as exc:
             self._note_degraded(report, "put", exc)
-
-    def _lease_acquire(self, state: _JobState, report: BatchReport) -> bool:
-        """Try to claim the compute for a missed job.
-
-        True means this scheduler computes the job itself — because it
-        won the lease, the store has no lease support, single-flight is
-        off, or the store degraded (computing locally is always safe:
-        jobs are pure functions).  False means another live process
-        holds the lease and we should wait for its ``put``.
-        """
-        if self.store is None or not self.singleflight:
-            return True
-        acquire = getattr(self.store, "acquire_lease", None)
-        if acquire is None:
-            return True
-        try:
-            lease = acquire(state.job.key(), ttl=self.lease_ttl)
-        except (StoreError, OSError) as exc:
-            self._note_degraded(report, "lease", exc)
-            return True
-        if lease is None:
-            return False
-        state.lease = lease
-        self._held_leases[state.job.key()] = lease
-        if getattr(lease, "takeover", False):
-            report.stale_takeovers += 1
-        return True
-
-    def _lease_release(self, state: _JobState) -> None:
-        """Drop a held lease (after the put, or on failure/interrupt)."""
-        lease = state.lease
-        state.lease = None
-        if lease is None or self.store is None:
-            return
-        self._held_leases.pop(getattr(lease, "key", ""), None)
-        try:
-            self.store.release_lease(lease)
-        except (StoreError, OSError):
-            pass
-
-    def _release_all_leases(self) -> None:
-        """Best-effort release of every held lease (interrupt/exit path)."""
-        if self.store is None:
-            self._held_leases.clear()
-            return
-        for lease in list(self._held_leases.values()):
-            try:
-                self.store.release_lease(lease)
-            except (StoreError, OSError):
-                continue
-        self._held_leases.clear()
-
-    def _maybe_renew_leases(self) -> None:
-        """Heartbeat held leases so long computations are not stolen.
-
-        Rate-limited to once per ``lease_ttl / 3`` and called from the
-        future-polling and inline loops, so a healthy holder's lease
-        never goes stale mid-compute.
-        """
-        if not self._held_leases or self.store is None:
-            return
-        now = time.monotonic()
-        if now < self._next_renew:
-            return
-        self._next_renew = now + self.lease_ttl / 3.0
-        renew = getattr(self.store, "renew_lease", None)
-        if renew is None:
-            return
-        for lease in list(self._held_leases.values()):
-            try:
-                renew(lease)
-            except (StoreError, OSError):
-                continue
-
-    def _poll_delay(self, poll_no: int, waiting: Sequence[_JobState]) -> float:
-        """Deterministic backoff between polls for a foreign lease's put."""
-        label = "lease-wait:%d:%s" % (
-            poll_no,
-            ",".join(sorted(state.job.key() for state in waiting)[:4]),
-        )
-        base = self.backoff_base if self.backoff_base > 0 else 0.01
-        cap = self.backoff_cap if self.backoff_cap > 0 else 0.5
-        return backoff_delay(poll_no, label, base, cap)
 
     # ------------------------------------------------------------------
     # Interrupt plumbing
@@ -470,7 +358,6 @@ class Scheduler:
         while True:
             if self._interrupted:
                 raise _Interrupted()
-            self._maybe_renew_leases()
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 raise FutureTimeout()
@@ -544,24 +431,22 @@ class Scheduler:
             self._emit("failed", state, done, report.total)
 
         installed = self._install_signal_handlers()
-        self._held_leases = {}
-        self._next_renew = 0.0
         try:
             # Cache-first pass (a degraded store reads as all-miss).
-            misses: List[_JobState] = []
+            pending: List[_JobState] = []
             for state in unique:
                 if self._interrupted:
-                    misses.append(state)
+                    pending.append(state)
                     continue
                 stored = self._store_get(state.job, report)
                 if stored is not None:
                     settle(state, stored, cached=True)
                 else:
-                    misses.append(state)
+                    pending.append(state)
             if self._tracer is not None:
                 # Lifecycle "queued" marks go to the trace only; the
                 # progress hook keeps its documented event set.
-                for state in misses:
+                for state in pending:
                     self._tracer.event(
                         "exec.job",
                         status="queued",
@@ -569,86 +454,41 @@ class Scheduler:
                         label=state.job.describe(),
                     )
 
-            # Single-flight partition: take a keyed compute lease per
-            # miss.  Winners execute; losers wait for the winner's put
-            # (or take over once the winner's lease goes stale).
-            pending: List[_JobState] = []
-            waiting: List[_JobState] = []
-            for state in misses:
-                if self._interrupted or self._lease_acquire(state, report):
-                    pending.append(state)
-                else:
-                    report.lease_contentions += 1
-                    waiting.append(state)
-                    if self._tracer is not None:
-                        self._tracer.event(
-                            "exec.job",
-                            status="lease_wait",
-                            key=state.job.key()[:12],
-                            label=state.job.describe(),
-                        )
-
-            # Execute owned misses (retrying per round with backoff) and
-            # poll leased-elsewhere misses between rounds.
+            # Execute the misses, retrying per round with backoff.
             round_no = 0
-            poll_no = 0
-            while (pending or waiting) and not self._interrupted:
-                if pending:
-                    round_no += 1
-                    use_pool = self.jobs > 1 and len(pending) > 1
-                    completed, retry, failed, interrupted = (
-                        self._run_pool(pending) if use_pool
-                        else self._run_inline(pending)
-                    )
-                    for state, result in completed:
-                        self._store_put(state, result, report)
-                        self._lease_release(state)
-                        settle(state, result, cached=False)
-                    for state in failed:
-                        self._lease_release(state)
-                        fail(state)
-                    if interrupted:
-                        # Interrupted and retry-routed jobs alike stay
-                        # unresolved; the journal marks them for the resume.
-                        break
-                    if retry:
-                        delay = self._backoff_delay(round_no, retry)
-                        for state in retry:
-                            report.retried += 1
-                            self._emit(
-                                "retry",
-                                state,
-                                report.cached + report.completed + report.failed,
-                                report.total,
-                                attempt=state.attempts,
-                                elapsed=state.timings[-1] if state.timings else None,
-                                backoff=delay,
-                            )
-                        if delay > 0:
-                            time.sleep(delay)
-                    pending = retry
-                if waiting and not self._interrupted:
-                    poll_no += 1
-                    still_waiting: List[_JobState] = []
-                    for state in waiting:
-                        stored = self._store_get(state.job, report)
-                        if stored is not None:
-                            # The winner's put landed: served as a hit.
-                            settle(state, stored, cached=True)
-                        elif self._lease_acquire(state, report):
-                            # The holder released without publishing
-                            # (failed), went stale (crashed), or the
-                            # store degraded: compute it ourselves.
-                            pending.append(state)
-                        else:
-                            still_waiting.append(state)
-                    waiting = still_waiting
-                    if waiting and not pending:
-                        delay = self._poll_delay(poll_no, waiting)
-                        if delay > 0:
-                            time.sleep(delay)
+            while pending and not self._interrupted:
+                round_no += 1
+                use_pool = self.jobs > 1 and len(pending) > 1
+                completed, retry, failed, interrupted = (
+                    self._run_pool(pending) if use_pool
+                    else self._run_inline(pending)
+                )
+                for state, result in completed:
+                    self._store_put(state, result, report)
+                    settle(state, result, cached=False)
+                for state in failed:
+                    fail(state)
+                if interrupted:
+                    # Interrupted and retry-routed jobs alike stay
+                    # unresolved; the journal marks them for the resume.
+                    break
+                if retry:
+                    delay = self._backoff_delay(round_no, retry)
+                    for state in retry:
+                        report.retried += 1
+                        self._emit(
+                            "retry",
+                            state,
+                            report.cached + report.completed + report.failed,
+                            report.total,
+                            attempt=state.attempts,
+                            elapsed=state.timings[-1] if state.timings else None,
+                            backoff=delay,
+                        )
+                    if delay > 0:
+                        time.sleep(delay)
+                pending = retry
         finally:
-            self._release_all_leases()
             self._restore_signal_handlers(installed)
 
         if self._interrupted:
@@ -741,7 +581,6 @@ class Scheduler:
             if self._interrupted:
                 interrupted.extend(pending[position:])
                 break
-            self._maybe_renew_leases()
             attempt_started = time.monotonic()
             try:
                 result = self.execute(state.job)

@@ -1,9 +1,9 @@
 """The content-addressed result store.
 
 One store, :class:`~repro.exec.stores.fs.FileResultStore`: one packed
-entry file per job, fsync-durable atomic writes, ``O_EXCL`` lease
-files.  :mod:`~repro.exec.stores.base` holds the entry codec and the
-lease and stats records it uses.
+entry file per job, fsync-durable atomic writes, validated reads.
+:mod:`~repro.exec.stores.base` holds the entry codec and the stats
+record it uses.
 
 Point it somewhere other than the default directory with
 ``$REPRO_STORE``, the ``--store`` CLI flag, or programmatically via
@@ -18,16 +18,12 @@ from typing import Optional
 
 from repro.common.errors import StoreError
 from repro.exec.stores.base import (
-    DEFAULT_LEASE_TTL,
-    Lease,
     STORE_BACKEND_ENV_VAR,
     STORE_ENV_VAR,
-    StoreCounters,
     StoreStats,
     decode_entry,
     default_store_dir,
     encode_entry,
-    lease_owner_id,
 )
 from repro.exec.stores.fs import (
     FileResultStore,
@@ -60,19 +56,15 @@ def make_store(spec: Optional[str] = None) -> FileResultStore:
 
 __all__ = [
     "ACCEPTED_STORE_FORMS",
-    "DEFAULT_LEASE_TTL",
     "FileResultStore",
-    "Lease",
     "QUARANTINE_DIR_NAME",
     "STORE_BACKEND_ENV_VAR",
     "STORE_ENV_VAR",
-    "StoreCounters",
     "StoreError",
     "StoreStats",
     "TMP_LEAK_AGE_SECONDS",
     "decode_entry",
     "default_store_dir",
     "encode_entry",
-    "lease_owner_id",
     "make_store",
 ]

@@ -9,12 +9,7 @@ holds what :class:`~repro.exec.stores.fs.FileResultStore` builds on:
   decodes by job kind and validates every read against the engine
   invariants so a corrupted or invariant-violating entry is reported
   with a quarantine reason and never served;
-* the :class:`Lease` record of the cross-process compute leases that
-  arbitrate which of several processes computes a missed job
-  (single-flight), and :func:`stale_after`, which decides when a
-  crashed holder's lease may be taken over;
-* the :class:`StoreCounters` and :class:`StoreStats` that ``cache
-  stats`` renders;
+* the :class:`StoreStats` that ``cache stats`` renders;
 * the environment variables that locate the store.
 """
 
@@ -22,13 +17,12 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import struct
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.common.errors import ReproError
 from repro.exec.job import ENGINE_VERSION, JobResult, SimJob
@@ -42,10 +36,6 @@ STORE_ENV_VAR = "REPRO_CACHE_DIR"
 #: ``fs://PATH``).
 STORE_BACKEND_ENV_VAR = "REPRO_STORE"
 
-#: Default time-to-live of a lease heartbeat: a lease whose heartbeat is
-#: older than this is *stale* and may be taken over by another process.
-DEFAULT_LEASE_TTL = 30.0
-
 
 def default_store_dir() -> Path:
     """Resolve the store root from the environment (unversioned)."""
@@ -53,15 +43,6 @@ def default_store_dir() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "nucache-repro"
-
-
-def lease_owner_id() -> str:
-    """This process's lease-owner identity (``host:pid``).
-
-    Stable for the process lifetime, unique across the machines that can
-    share a store directory, and human-readable in postmortems.
-    """
-    return f"{socket.gethostname()}:{os.getpid()}"
 
 
 # ----------------------------------------------------------------------
@@ -161,62 +142,14 @@ def decode_entry(
     return result, None
 
 
-# ----------------------------------------------------------------------
-# Leases
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lease:
-    """A held compute lease for one job key.
-
-    Attributes:
-        key: the job content hash the lease covers.
-        owner: the holder's :func:`lease_owner_id`.
-        acquired: wall-clock acquisition time.
-        ttl: heartbeat time-to-live in seconds; a heartbeat older than
-            this makes the lease stale (eligible for takeover).
-        takeover: whether acquiring it displaced a stale lease.
-    """
-
-    key: str
-    owner: str
-    acquired: float
-    ttl: float
-    takeover: bool = False
-
-
-@dataclass
-class StoreCounters:
-    """In-process robustness counters a store accumulates as it runs.
-
-    These are *process-local* (they reset with the process); durable
-    state — active leases, quarantined entries — is reported by
-    :meth:`~repro.exec.stores.fs.FileResultStore.stats` instead.
-    """
-
-    lease_contentions: int = 0
-    stale_takeovers: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counters as a plain dict (sorted rendering is the caller's job)."""
-        return {
-            "lease_contentions": self.lease_contentions,
-            "stale_takeovers": self.stale_takeovers,
-        }
-
-
 @dataclass(frozen=True)
 class StoreStats:
-    """Summary of the store's durable footprint and lease state."""
+    """Summary of the store's durable footprint."""
 
     root: str
     entries: int
     total_bytes: int
     quarantined: int = 0
-    backend: str = "fs"
-    leases_active: int = 0
-    leases_stale: int = 0
     logical_bytes: int = 0
 
     def describe(self) -> str:
@@ -228,15 +161,4 @@ class StoreStats:
             line += f" ({logical_kib:.1f} KiB logical)"
         if self.quarantined:
             line += f"; {self.quarantined} quarantined"
-        if self.leases_active or self.leases_stale:
-            line += (
-                f"; {self.leases_active} active lease(s)"
-                f" ({self.leases_stale} stale)"
-            )
         return line
-
-
-def stale_after(heartbeat: float, ttl: float, now: Optional[float] = None) -> bool:
-    """Whether a lease heartbeat of age ``ttl`` seconds is stale."""
-    moment = time.time() if now is None else now
-    return (moment - heartbeat) > ttl

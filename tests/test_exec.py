@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import replace
 
@@ -420,6 +421,14 @@ class TestScheduler:
         assert scheduler.last_report.retried == 2
         assert scheduler.last_report.failed == 1
 
+    @pytest.mark.parametrize(
+        ("knob", "value"), [("singleflight", True), ("lease_ttl", 30.0)]
+    )
+    def test_compute_lease_knobs_are_gone(self, knob, value):
+        """Schedulers sharing a store never coordinate: nothing to set."""
+        with pytest.raises(TypeError, match=knob):
+            Scheduler(jobs=1, **{knob: value})
+
     def test_backoff_is_exponential_with_deterministic_jitter(self, monkeypatch):
         def run_once():
             sleeps = []
@@ -568,6 +577,20 @@ class TestFailureForensics:
         scheduler.run([SimJob.single("hmmer_like", "lru", ACCESSES)])
         (outcome,) = scheduler.last_outcomes.values()
         assert "snapshot" not in outcome  # plain errors carry no snapshot
+
+
+# ----------------------------------------------------------------------
+# Package surface
+# ----------------------------------------------------------------------
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("module_name", ["repro.exec", "repro.exec.stores"])
+    def test_every_exported_name_resolves(self, module_name):
+        """A stale ``__all__`` entry would break ``import *`` of the package."""
+        module = importlib.import_module(module_name)
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        assert len(set(module.__all__)) == len(module.__all__)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Store-level chaos: degraded mode, single-flight, fault injection.
+"""Store-level chaos: degraded mode, a shared store, fault injection.
 
 The invariant under test everywhere here: **a sick result store never
 changes simulated numbers and never aborts a batch**.  A store that
@@ -10,15 +10,12 @@ results are identical to a healthy run's.
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
-from repro.common.errors import StoreError
+from repro.common.errors import ExecError, StoreError
 from repro.exec import Scheduler, SimJob, execute_job
 from repro.exec import context as exec_context
-from repro.exec.faults import FaultPlan, FaultyStore
+from repro.exec.faults import FAULT_KINDS, FaultPlan, FaultyStore
 from repro.exec.stores import FileResultStore
 from repro.sim.runner import alone_ipc, clear_alone_memo
 
@@ -49,18 +46,10 @@ def store_factory(tmp_path):
 class _DeadStore:
     """A store whose medium is entirely unusable (every op raises)."""
 
-    backend = "dead"
-
     def get(self, job):
         raise StoreError("medium gone")
 
     def put(self, job, result):
-        raise StoreError("medium gone")
-
-    def acquire_lease(self, key, ttl=30.0):
-        raise StoreError("medium gone")
-
-    def release_lease(self, lease):
         raise StoreError("medium gone")
 
 
@@ -93,7 +82,7 @@ class _DyingStore:
 
 
 class _ReadOnlyStore:
-    """Reads fine; every write (put/lease) fails like a read-only mount."""
+    """Reads fine; every put fails like a read-only mount."""
 
     def __init__(self, store) -> None:
         self._store = store
@@ -102,9 +91,6 @@ class _ReadOnlyStore:
         return getattr(self._store, name)
 
     def put(self, job, result):
-        raise StoreError("read-only file system")
-
-    def acquire_lease(self, key, ttl=30.0):
         raise StoreError("read-only file system")
 
 
@@ -148,7 +134,7 @@ class TestDegradedMode:
         assert report.cached == 2  # reads still work
         assert report.completed == 2
         assert report.failed == 0
-        assert report.degraded > 0  # the failed puts/leases, counted
+        assert report.degraded == 2  # the two failed puts, counted
         healthy = _healthy_results(batch)
         assert [r.to_dict() for r in results] == [r.to_dict() for r in healthy]
 
@@ -170,9 +156,7 @@ class TestDegradedMode:
         scheduler = Scheduler(jobs=1, store=FileResultStore(tmp_path / "s"))
         scheduler.run(_grid(2))
         report = scheduler.last_report
-        line = report.describe()
-        for marker in ("degraded", "lease", "takeover"):
-            assert marker not in line
+        assert "degraded" not in report.describe()
         assert report.store_fields() == {}
 
     def test_degradation_is_visible_in_report_and_journal_fields(self):
@@ -180,9 +164,8 @@ class TestDegradedMode:
         scheduler.run(_grid(2))
         report = scheduler.last_report
         assert "store fallbacks (degraded)" in report.describe()
-        fields = report.store_fields()
-        assert fields["degraded"] == report.degraded > 0
-        assert "lease_contentions" not in fields  # zero stays absent
+        assert report.degraded > 0
+        assert report.store_fields() == {"degraded": report.degraded}
 
     def test_journal_batch_record_carries_store_fields(self, tmp_path, monkeypatch):
         from repro.exec.journal import RunJournal, load_journal
@@ -241,35 +224,19 @@ class TestStoreFaultInjection:
         rerun.run(batch)
         assert rerun.last_report.cached == len(batch)
 
-    def test_orphaned_leases_surface_and_get_swept(
-        self, store_factory, tmp_path
-    ):
-        batch = _grid(2)
-        plan = FaultPlan(store_lease_orphan=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(store_factory(), plan)
-        scheduler = Scheduler(jobs=1, store=store, lease_ttl=0.1)
-        results = scheduler.run(batch)
-        assert all(r is not None for r in results)
-        # Releases were swallowed: the leases are orphaned on disk.
-        assert len(store.active_leases()) == len(batch)
-        time.sleep(0.25)  # heartbeats go stale
-        census = store.active_leases()
-        assert all(is_stale for _k, _o, is_stale in census)
-        store.prune(keep=100)  # maintenance sweeps the orphans
-        assert store.active_leases() == []
-
     def test_dotted_kinds_parse_from_spec(self):
-        plan = FaultPlan.parse(
-            "store.put.crash=0.5,store.get.corrupt,store.lease.orphan=0.25"
-        )
+        plan = FaultPlan.parse("store.put.crash=0.5,store.get.corrupt")
         assert plan.store_put_crash == 0.5
         assert plan.store_get_corrupt == 1.0
-        assert plan.store_lease_orphan == 0.25
         assert plan.corrupt == 0.0
         assert plan.active()
+        with pytest.raises(ExecError, match="expected one of") as raised:
+            FaultPlan.parse("store.lease.orphan=0.5")
+        for kind in FAULT_KINDS:
+            assert repr(kind) in str(raised.value)
 
 
-class TestSingleFlight:
+class TestSharedStore:
     def test_second_scheduler_is_fully_cache_served(self, store_factory):
         batch = _grid()
         first = Scheduler(jobs=1, store=store_factory())
@@ -280,74 +247,41 @@ class TestSingleFlight:
         assert second.last_report.cached == len(batch)
         assert second.last_report.completed == 0
 
-    def test_waiter_is_served_by_the_winners_put(self, store_factory):
-        """A loser of the lease race settles from the winner's put."""
-        store = store_factory()
-        job = _grid(1)[0]
-        winner_lease = store.acquire_lease(job.key(), ttl=30.0, owner="winner:1")
-        assert winner_lease is not None
+    def test_overlapping_cold_schedulers_both_compute_and_agree(
+        self, store_factory
+    ):
+        """Two runs that both miss both compute; their puts agree.
 
-        scheduler = Scheduler(
-            jobs=1,
-            store=store_factory(),
-            backoff_base=0.02,
-        )
-        done = {}
+        The outer run's first simulation runs a whole second scheduler
+        over the batch, after the outer cache-first pass has already
+        missed every job: the two runs overlap the way two processes
+        started at once on one store do.
+        """
+        batch = _grid()
+        inner = Scheduler(jobs=1, store=store_factory())
+        inner_results = []
 
-        def _run():
-            done["results"] = scheduler.run([job])
+        def execute(job):
+            if not inner_results:
+                inner_results.extend(inner.run(batch))
+            return execute_job(job)
 
-        thread = threading.Thread(target=_run)
-        thread.start()
-        time.sleep(0.2)  # the scheduler is now polling as a waiter
-        store.put(job, execute_job(job))  # the "winner" publishes
-        store.release_lease(winner_lease)
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        report = scheduler.last_report
-        assert report.cached == 1
-        assert report.completed == 0
-        assert report.lease_contentions == 1
-        assert done["results"][0] == execute_job(job)
-
-    def test_waiter_takes_over_a_crashed_winner(self, store_factory):
-        """A waiter computes itself once the holder's lease goes stale."""
-        store = store_factory()
-        job = _grid(1)[0]
-        assert (
-            store.acquire_lease(job.key(), ttl=0.3, owner="crashed:1")
-            is not None
-        )
-
-        scheduler = Scheduler(
-            jobs=1,
-            store=store_factory(),
-            backoff_base=0.02,
-        )
-        results = scheduler.run([job])
-        report = scheduler.last_report
-        assert report.completed == 1
-        assert report.lease_contentions == 1  # first saw the live holder
-        assert report.stale_takeovers == 1  # then displaced it
-        assert results[0] == execute_job(job)
-
-    def test_singleflight_off_ignores_foreign_leases(self, tmp_path):
-        store = FileResultStore(tmp_path / "store")
-        job = _grid(1)[0]
-        assert store.acquire_lease(job.key(), ttl=30.0) is not None
-        scheduler = Scheduler(
-            jobs=1,
-            store=FileResultStore(tmp_path / "store"),
-            singleflight=False,
-        )
-        scheduler.run([job])
-        report = scheduler.last_report
-        assert report.completed == 1
-        assert report.lease_contentions == 0
+        outer = Scheduler(jobs=1, store=store_factory(), execute=execute)
+        outer_results = outer.run(batch)
+        healthy = _healthy_results(batch)
+        assert inner_results == healthy
+        assert outer_results == healthy
+        assert inner.last_report.completed == len(batch)
+        assert outer.last_report.completed == len(batch)
+        stats = store_factory().stats()
+        assert (stats.entries, stats.quarantined) == (len(batch), 0)
+        third = Scheduler(jobs=1, store=store_factory())
+        assert third.run(batch) == healthy
+        assert third.last_report.cached == len(batch)
 
 
 class TestRobustnessCLI:
-    def test_cache_stats_health_line_is_byte_stable(self, tmp_path, monkeypatch):
+    def test_cache_stats_is_one_byte_stable_line(self, tmp_path, monkeypatch):
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -363,21 +297,26 @@ class TestRobustnessCLI:
                 assert main(["cache", "stats", "--store", "fs"]) == 0
             lines.append(buffer.getvalue())
         assert lines[0] == lines[1]
-        assert (
-            "robustness [fs]: lease_contentions=0 "
-            "leases_active=0 leases_stale=0 stale_takeovers=0" in lines[0]
-        )
+        store = FileResultStore(tmp_path / "cache")
+        assert lines[0] == store.stats().describe() + "\n"
 
-    def test_cache_stats_counts_leases(self, tmp_path, monkeypatch, capsys):
+    def test_cache_stats_counts_quarantined_entries(
+        self, tmp_path, monkeypatch, capsys
+    ):
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         store = FileResultStore(tmp_path / "cache")
-        store.acquire_lease("a" * 64, ttl=30.0)
+        good, torn = _grid(2)
+        store.put(good, execute_job(good))
+        path = store.put(torn, execute_job(torn))
+        path.write_bytes(path.read_bytes()[:10])
+        assert store.get(torn) is None  # quarantined on read
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "leases_active=1" in out
-        assert "1 active lease(s) (0 stale)" in out
+        assert out.count("\n") == 1
+        assert out.startswith("1 entries, ")
+        assert out.endswith("; 1 quarantined\n")
 
     def test_cache_rejects_unknown_store(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

@@ -1,10 +1,9 @@
 """Contract tests for the filesystem result store.
 
 :class:`TestStoreContract` pins the store's observable behaviour: hit
-and miss, validation and quarantine, the lease protocol, maintenance.
-The mechanics below it (fsync ordering, temp-file debris, lease-file
-races, the entry codec) get their own classes, and the cross-process
-races live in ``test_store_stress.py``.
+and miss, validation and quarantine, maintenance.  The mechanics below
+it (fsync ordering, temp-file debris, the entry codec) get their own
+classes, and the cross-process races live in ``test_store_stress.py``.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ import time
 import pytest
 
 from repro.common.errors import StoreError
-from repro.exec import SimJob, execute_job
+from repro.exec import Scheduler, SimJob, execute_job
 from repro.exec.faults import FaultPlan, FaultyStore, _violating
-from repro.exec.stores import FileResultStore, make_store
+from repro.exec.stores import FileResultStore, StoreStats, make_store
 from repro.exec.stores.base import STORE_BACKEND_ENV_VAR
 
 ACCESSES = 4_000
@@ -51,6 +50,25 @@ def _tear_entry(tmp_path, job: SimJob) -> None:
     path = FileResultStore(tmp_path / "store")._path(job.key())
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
+
+
+def _fsyncs_of_run(monkeypatch, scheduler, batch) -> int:
+    """How many times ``scheduler.run(batch)`` calls ``os.fsync`` here.
+
+    Pool workers are forked and count into their own copies, so this is
+    the parent process's count: every store write happens there.
+    """
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def spy_fsync(fd):
+        fsyncs.append(fd)
+        return real_fsync(fd)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", spy_fsync)
+        scheduler.run(batch)
+    return len(fsyncs)
 
 
 # ----------------------------------------------------------------------
@@ -126,67 +144,6 @@ class TestStoreContract:
         store.put(job, execute_job(job))
         assert store.get(job) is not None
 
-    def test_lease_acquire_contention_release(self, store):
-        key = _job().key()
-        lease = store.acquire_lease(key, ttl=30.0)
-        assert lease is not None and not lease.takeover
-        assert store.acquire_lease(key, ttl=30.0) is None  # held
-        assert store.counters.lease_contentions == 1
-        assert store.renew_lease(lease)
-        assert store.release_lease(lease)
-        again = store.acquire_lease(key, ttl=30.0)
-        assert again is not None and not again.takeover
-
-    def test_stale_lease_taken_over(self, store, monkeypatch):
-        import repro.exec.stores.fs as fs_mod
-
-        key = _job().key()
-        # A foreign process takes the lease, then crashes (no heartbeat).
-        monkeypatch.setattr(fs_mod, "lease_owner_id", lambda: "ghost:999")
-        crashed = store.acquire_lease(key, ttl=0.05)
-        monkeypatch.undo()
-        assert crashed is not None and crashed.owner == "ghost:999"
-        time.sleep(0.1)
-        taken = store.acquire_lease(key, ttl=30.0)
-        assert taken is not None and taken.takeover
-        assert taken.owner != "ghost:999"
-        assert store.counters.stale_takeovers == 1
-        # The displaced holder can no longer renew or release.
-        assert not store.renew_lease(crashed)
-        assert not store.release_lease(crashed)
-
-    def test_active_leases_census(self, store):
-        keys = sorted(_job(seed).key() for seed in (1, 2))
-        store.acquire_lease(keys[0], ttl=30.0)
-        store.acquire_lease(keys[1], ttl=0.05)
-        time.sleep(0.1)
-        census = dict(
-            (key, is_stale) for key, _owner, is_stale in store.active_leases()
-        )
-        assert census == {keys[0]: False, keys[1]: True}
-        stats = store.stats()
-        assert stats.leases_active == 1
-        assert stats.leases_stale == 1
-
-    def test_prune_sweeps_stale_leases_only(self, store):
-        live_key = _job(1).key()
-        stale_key = _job(2).key()
-        live = store.acquire_lease(live_key, ttl=30.0)
-        store.acquire_lease(stale_key, ttl=0.05)
-        time.sleep(0.1)
-        store.prune(keep=100)
-        held = {key for key, _owner, _stale in store.active_leases()}
-        assert held == {live_key}
-        assert store.release_lease(live)
-
-    def test_clear_drops_entries_and_leases(self, store):
-        job = _job()
-        store.put(job, execute_job(job))
-        store.acquire_lease(job.key(), ttl=30.0)
-        assert store.clear() == 1
-        assert store.stats().entries == 0
-        assert store.active_leases() == []
-
     def test_prune_keep(self, store):
         result = execute_job(_job())
         for seed in range(5):
@@ -194,23 +151,84 @@ class TestStoreContract:
         assert store.prune(keep=2) == 3
         assert store.stats().entries == 2
 
-    def test_health_is_deterministic_and_complete(self, store):
-        census = store.health()
-        assert census == {
-            "lease_contentions": 0,
-            "leases_active": 0,
-            "leases_stale": 0,
-            "stale_takeovers": 0,
-        }
-        line = store.describe_health()
-        assert line == (
-            "robustness [fs]: "
-            "lease_contentions=0 leases_active=0 leases_stale=0 "
-            "stale_takeovers=0"
-        )
+    def test_second_put_of_a_key_replaces_the_entry(self, store):
+        """Two writers of one job need no lock: the last rename wins whole."""
+        job = _job()
+        result = execute_job(job)
+        first = store.put(job, result)
+        second = store.put(job, result)
+        assert first == second
+        assert store.get(job) == result
+        assert store.stats().entries == 1
+        assert list(store.root.glob("*/.*.tmp")) == []
 
-    def test_stats_names_backend(self, store):
-        assert store.stats().backend == store.backend
+    def test_clear_keeps_the_run_journal(self, store):
+        """``clear`` drops entries, not the ``runs/`` journals beside them."""
+        job = _job()
+        store.put(job, execute_job(job))
+        journal = store.base / "runs" / "20260101-000000-abcd.jsonl"
+        journal.parent.mkdir()
+        journal.write_text('{"type": "start"}\n', encoding="utf-8")
+        assert store.clear() == 1
+        assert store.get(job) is None
+        assert journal.read_text(encoding="utf-8") == '{"type": "start"}\n'
+
+    def test_lease_files_of_an_earlier_version_are_inert(self, store):
+        """A store once shared under compute leases keeps working as is.
+
+        Nothing reads its ``leases/`` directory or ``.leases.lock`` any
+        more, and no maintenance removes them.
+        """
+        job = _job()
+        result = execute_job(job)
+        store.put(job, result)
+        lease = store.base / "leases" / f"{job.key()}.lease"
+        lease.parent.mkdir()
+        lease.write_text('{"owner": "host:1", "ttl": 30.0}', encoding="utf-8")
+        lock = store.base / ".leases.lock"
+        lock.touch()
+        assert store.get(job) == result
+        stats = store.stats()
+        assert (stats.entries, stats.quarantined) == (1, 0)
+        assert store.prune(keep=0) == 1
+        assert store.clear() == 0
+        assert lease.is_file() and lock.is_file()
+
+
+class TestStoreStatsDescribe:
+    """``cache stats`` prints exactly this one line."""
+
+    @pytest.mark.parametrize(
+        ("stats", "line"),
+        [
+            (
+                StoreStats(root="/s/v1", entries=0, total_bytes=0),
+                "0 entries, 0.0 KiB in /s/v1",
+            ),
+            (
+                StoreStats(
+                    root="/s/v1",
+                    entries=2,
+                    total_bytes=2048,
+                    logical_bytes=10240,
+                ),
+                "2 entries, 2.0 KiB in /s/v1 (10.0 KiB logical)",
+            ),
+            (
+                StoreStats(
+                    root="/s/v1",
+                    entries=1,
+                    total_bytes=1024,
+                    quarantined=3,
+                    logical_bytes=1024,
+                ),
+                "1 entries, 1.0 KiB in /s/v1; 3 quarantined",
+            ),
+        ],
+        ids=["empty", "packed", "quarantined"],
+    )
+    def test_describe(self, stats, line):
+        assert stats.describe() == line
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +316,63 @@ class TestFileStoreDurability:
         assert "fsync" in events[events.index("rename") + 1:], (
             "directory entry must be fsynced after the rename"
         )
+
+    def test_cold_batch_fsyncs_only_its_entries(self, tmp_path, monkeypatch):
+        """A computed job costs its put's two fsyncs and leaves only entries."""
+        from repro.exec.job import ENGINE_VERSION
+
+        base = tmp_path / "store"
+        scheduler = Scheduler(jobs=1, store=FileResultStore(base))
+        batch = [_job(seed) for seed in range(3)]
+        fsyncs = _fsyncs_of_run(monkeypatch, scheduler, batch)
+        assert scheduler.last_report.completed == 3
+        assert fsyncs == 2 * 3  # temp file + directory, per entry
+        assert [path.name for path in base.iterdir()] == [f"v{ENGINE_VERSION}"]
+
+    def test_pooled_cold_batch_fsyncs_only_its_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """Workers only simulate; the parent's puts are the only fsyncs."""
+        store = FileResultStore(tmp_path / "store")
+        scheduler = Scheduler(jobs=2, store=store)
+        batch = [_job(seed) for seed in range(3)]
+        assert _fsyncs_of_run(monkeypatch, scheduler, batch) == 2 * 3
+        assert scheduler.last_report.completed == 3
+        assert store.stats().entries == 3
+
+    def test_warm_batch_fsyncs_nothing(self, tmp_path, monkeypatch):
+        store = FileResultStore(tmp_path / "store")
+        batch = [_job(seed) for seed in range(3)]
+        Scheduler(jobs=1, store=store).run(batch)
+        rerun = Scheduler(jobs=1, store=store)
+        assert _fsyncs_of_run(monkeypatch, rerun, batch) == 0
+        assert rerun.last_report.cached == 3
+
+    def test_duplicate_jobs_are_put_once(self, tmp_path, monkeypatch):
+        store = FileResultStore(tmp_path / "store")
+        scheduler = Scheduler(jobs=1, store=store)
+        batch = [_job(1), _job(1), _job(2)]
+        assert _fsyncs_of_run(monkeypatch, scheduler, batch) == 2 * 2
+        assert scheduler.last_report.completed == 3  # occurrence-weighted
+        assert store.stats().entries == 2
+
+    def test_failed_job_is_never_put(self, tmp_path, monkeypatch):
+        doomed = _job(2)
+
+        def execute(job):
+            if job == doomed:
+                raise RuntimeError("simulated failure")
+            return execute_job(job)
+
+        store = FileResultStore(tmp_path / "store")
+        scheduler = Scheduler(
+            jobs=1, store=store, retries=0, strict=False, execute=execute
+        )
+        batch = [_job(1), doomed]
+        assert _fsyncs_of_run(monkeypatch, scheduler, batch) == 2
+        assert scheduler.last_report.failed == 1
+        assert store.get(doomed) is None
+        assert store.stats().entries == 1
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -430,39 +505,6 @@ class TestFileStoreDurability:
         sidecars = list(store.quarantine_dir.glob("*.reason"))
         assert len(sidecars) == 1
         assert "exceed" in sidecars[0].read_text(encoding="utf-8")
-
-    def test_stale_takeover_never_unlinks_a_fresh_lease(
-        self, tmp_path, monkeypatch
-    ):
-        """Two takeovers of one stale lease leave exactly one holder.
-
-        Store B takes the stale lease over between store A's read of it
-        and A's unlink.  A must re-check under the lease lock and back
-        off, instead of deleting B's fresh lease and taking the key too.
-        """
-        key = _job().key()
-        a = FileResultStore(tmp_path / "store")
-        b = FileResultStore(tmp_path / "store")
-        assert a.acquire_lease(key, ttl=0.05, owner="crashed:1") is not None
-        time.sleep(0.1)
-
-        real_read = a._read_lease
-        raced = []
-
-        def read_then_b_takes_over(path):
-            record = real_read(path)
-            if not raced:
-                raced.append(b.acquire_lease(key, ttl=30.0, owner="b:2"))
-            return record
-
-        monkeypatch.setattr(a, "_read_lease", read_then_b_takes_over)
-        lease_a = a.acquire_lease(key, ttl=30.0, owner="a:1")
-        (lease_b,) = raced
-        assert lease_b is not None and lease_b.takeover
-        assert lease_a is None
-        assert a.counters.lease_contentions == 1
-        assert [owner for _key, owner, _stale in a.active_leases()] == ["b:2"]
-        assert b.release_lease(lease_b)
 
 
 class TestEntryCodec:
