@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,18 +56,20 @@ ENTRY_HEADER_LEN = len(ENTRY_MAGIC) + 4
 
 
 def encode_entry(job: SimJob, result: JobResult) -> bytes:
-    """Serialize one store entry (job + result + provenance).
+    """Serialize one store entry (job + result + engine version).
 
     Codec v2: the sorted-keys JSON document is zlib-compressed behind a
     fixed header (``NUC2`` magic + 4-byte big-endian *uncompressed*
     length).  Entries are highly regular JSON, so the pack is roughly
     5× smaller on disk; the recorded length lets :func:`entry_logical_size`
-    report the logical footprint without inflating anything.
+    report the logical footprint without inflating anything.  The bytes
+    are a function of the job and the result alone (no timestamp: ages
+    come from file mtimes), so two puts of one job publish identical
+    bytes.  Entries written with a ``created`` time still decode.
     """
     raw = json.dumps(
         {
             "engine_version": ENGINE_VERSION,
-            "created": time.time(),
             "job": job.to_dict(),
             "result": result.to_dict(),
         },

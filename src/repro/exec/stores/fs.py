@@ -20,9 +20,9 @@ Durability and concurrency:
   ``.reason`` sidecar and reported as a miss.  An entry unlinked by a
   concurrent ``prune`` mid-read is a clean miss, never an exception.
 * **Concurrent writers** of one key need no lock: results are pure
-  functions of their key, so whichever rename lands last publishes the
-  same result as the first (the two entries differ only in their
-  ``created`` time).
+  functions of their key and an entry's bytes are a function of its
+  job and result, so whichever rename lands last publishes identical
+  bytes to the first.
 * **Maintenance** (``prune``/``clear``) serializes on an advisory
   ``flock`` so two maintainers never interleave destructively.
 """

@@ -9,8 +9,10 @@ this slot selected?", and counts accesses and misses.  It does all of
 that, and the :attr:`profiler`'s eviction and reuse updates, inline:
 :meth:`note_access`, :meth:`note_miss` and :meth:`is_selected` are the
 reference bodies of those copies, so a change to one of them must be
-made to ``NUCache.access`` too (the differential oracle and the golden
-payloads catch a copy that drifts).
+made to ``NUCache.access`` and to the hybrid replay's NUcache frame
+(:func:`repro.sim.vector._replay_nucache`) too (the differential
+oracle, the golden payloads and the frame's lockstep test catch a copy
+that drifts).
 
 Epoch protocol (lengths measured in LLC misses, as in the paper):
 
@@ -73,11 +75,14 @@ class NUcacheController:
         )
         self.epochs_completed = 0
         self.last_profile: Optional[EpochProfile] = None
-        #: When True, every epoch's profile is appended to
-        #: :attr:`profile_history` (used by the characterization figures;
-        #: off by default to keep memory flat on long runs).
+        #: When True, every closed epoch's profile is appended to
+        #: :attr:`profile_history` and its ``(core, PC)`` miss counts to
+        #: :attr:`miss_count_history` (used by the baseline probe behind
+        #: the characterization figures; off by default to keep memory
+        #: flat on long runs).
         self.keep_profiles = False
         self.profile_history: List[EpochProfile] = []
+        self.miss_count_history: List[Dict[PCKey, int]] = []
         #: Called with this controller at the end of every :meth:`rotate`;
         #: an engine run's :class:`repro.sim.engine.RunWatch` sets it.
         self.on_rotate: Optional[Callable[["NUcacheController"], None]] = None
@@ -92,7 +97,11 @@ class NUcacheController:
         return self._slot_of.get((core, pc), -1)
 
     def is_selected(self, pc_slot: int) -> bool:
-        """Whether lines from this candidate slot may enter the DeliWays."""
+        """Whether lines from this candidate slot may enter the DeliWays.
+
+        Inlined in ``NUCache.access`` and in the hybrid replay's NUcache
+        frame (:func:`repro.sim.vector._replay_nucache`).
+        """
         return pc_slot in self._selected
 
     @property
@@ -112,7 +121,9 @@ class NUcacheController:
         """Account one LLC miss against its (core, PC); returns its slot.
 
         The slot is :meth:`slot_of` for the same pair, so the filling
-        miss path builds the ``(core, pc)`` key once.
+        miss path builds the ``(core, pc)`` key once.  Inlined in
+        ``NUCache.access`` and in the hybrid replay's NUcache frame
+        (:func:`repro.sim.vector._replay_nucache`).
         """
         key = (core, pc)
         self._miss_counts[key] = self._miss_counts.get(key, 0) + 1
@@ -126,7 +137,10 @@ class NUcacheController:
         primary trigger) or the access cap (so low-MPKI phases still
         re-select).  The caller must invoke :meth:`rotate` promptly when
         this returns True (kept separate so the cache can pass itself in
-        for slot remapping).
+        for slot remapping).  Inlined in ``NUCache.access`` and in the
+        hybrid replay's NUcache frame
+        (:func:`repro.sim.vector._replay_nucache`), which keeps the
+        epoch's counts in locals and stores them back before ``rotate``.
         """
         self._accesses_this_epoch += 1
         return (
@@ -154,6 +168,7 @@ class NUcacheController:
         self.last_profile = profile
         if self.keep_profiles:
             self.profile_history.append(profile)
+            self.miss_count_history.append(self._miss_counts)
         selected_old_slots = self._selector(
             profile, self.deli_capacity, self.config.max_selected_pcs
         )

@@ -21,11 +21,14 @@ bounds the FIFO (reuses farther than the capacity are invisible, exactly
 as in hardware), and ``sample_period`` optionally restricts profiling to
 every Nth set (the hardware-friendly variant, evaluated as an ablation).
 
-``NUCache.access`` runs :meth:`NextUseProfiler.on_eviction` and
-:meth:`NextUseProfiler.on_reuse` as inlined copies on its hot path;
-these methods are the reference bodies, and the differential oracle's
-profile lockstep checks the copies against
-:class:`~repro.check.oracle.RefNextUseProfiler`.
+``NUCache.access`` and the hybrid replay's NUcache frame
+(:func:`repro.sim.vector._replay_nucache`) run
+:meth:`NextUseProfiler.on_eviction` and :meth:`NextUseProfiler.on_reuse`
+as inlined copies on their hot paths; these methods are the reference
+bodies, the differential oracle's profile lockstep checks
+``NUCache.access``'s copies against
+:class:`~repro.check.oracle.RefNextUseProfiler`, and a lockstep test
+checks the frame's against ``NUCache.access``.
 
 Software representation: instead of snapshotting every counter at each
 eviction, the profiler appends the evicted line's slot to an epoch-long
@@ -180,8 +183,10 @@ class NextUseProfiler:
         every ``sample_period``-th set is profiled.
 
         The ``move_to_end`` serves a caller that evicts a block still in
-        the history.  ``NUCache.access``'s inlined copy leaves it out:
-        its victims' fills ran the reuse lookup, which popped them.
+        the history.  The inlined copies in ``NUCache.access`` and the
+        hybrid replay's NUcache frame
+        (:func:`repro.sim.vector._replay_nucache`) leave it out: their
+        victims' fills ran the reuse lookup, which popped them.
         """
         if pc_slot < 0 or set_index % self.sample_period:
             return
@@ -197,7 +202,9 @@ class NextUseProfiler:
     def on_reuse(self, set_index: int, block_addr: int) -> bool:
         """Record an access to a line that may be in the eviction history.
 
-        Returns whether the block was found (a Next-Use event).
+        Returns whether the block was found (a Next-Use event).  Inlined
+        in ``NUCache.access`` and in the hybrid replay's NUcache frame
+        (:func:`repro.sim.vector._replay_nucache`).
         """
         if set_index % self.sample_period:
             return False

@@ -24,6 +24,13 @@ itself, as literal copies of ``note_access``/``note_miss`` and
 ``on_reuse``/``on_eviction``, which stay the reference bodies (the same
 way ``CacheSet.lookup`` inlines ``LRUPolicy.touch``).  Selection itself
 (``rotate``) is still a call, once per epoch.
+
+The access path has three copies, and a change to NUcache's semantics
+touches all three: the reference methods, :meth:`NUCache.access` (the
+scalar loop's, and any engine's over another memory model or a
+subclass), and :func:`repro.sim.vector._replay_nucache`, the hybrid
+replay's frame for a plain ``NUCache`` over fixed-latency memory, which
+holds the body of ``access`` inside its schedule loop.
 """
 
 from __future__ import annotations
@@ -146,6 +153,13 @@ class NUCache(LastLevelCache):
     # ------------------------------------------------------------------
 
     def access(self, block_addr: int, core: int, pc: int, is_write: bool) -> bool:
+        """Service one LLC access; returns whether it hit.
+
+        The hybrid replay runs a copy of this body inside its schedule
+        loop (:func:`repro.sim.vector._replay_nucache`) for a plain
+        ``NUCache`` over fixed-latency memory; a change here must be made
+        there too.
+        """
         # One frame per access, in this order: MainWay hit; else the
         # profiler's reuse lookup, then a DeliWay hit (promotion, or the
         # lru ablation's refresh) or a miss; then the MainWay fill with

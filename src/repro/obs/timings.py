@@ -76,6 +76,9 @@ def _phase_totals(trace_records: Sequence[Dict[str, object]]) -> Dict[str, objec
     paths: Dict[str, int] = {}
     epochs = 0
     job_seconds: List[float] = []
+    # The replay events that count their LLC accesses, and their time.
+    replay_accesses = 0
+    replay_seconds = 0.0
     for record in trace_records:
         name = record.get("name")
         if record.get("type") == "event" and name == "sim.phase":
@@ -83,6 +86,9 @@ def _phase_totals(trace_records: Sequence[Dict[str, object]]) -> Dict[str, objec
             duration = float(record.get("dur", 0.0) or 0.0)
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + duration
             phase_counts[phase] = phase_counts.get(phase, 0) + 1
+            if phase == "replay" and record.get("accesses") is not None:
+                replay_accesses += int(record["accesses"])
+                replay_seconds += duration
         elif record.get("type") == "event" and name == "nucache.epoch":
             epochs += 1
         elif record.get("type") == "end" and name == "exec.job":
@@ -96,6 +102,8 @@ def _phase_totals(trace_records: Sequence[Dict[str, object]]) -> Dict[str, objec
         "paths": paths,
         "epochs": epochs,
         "job_seconds": job_seconds,
+        "replay_accesses": replay_accesses,
+        "replay_seconds": replay_seconds,
     }
 
 
@@ -181,6 +189,13 @@ def render_timings(
             share = f" ({seconds / grand:.0%})" if grand > 0 else ""
             lines.append(
                 f"  {phase:<10} {seconds:>8.2f}s over {count} runs{share}"
+            )
+        replay_accesses: int = totals["replay_accesses"]
+        if replay_accesses:
+            nanos = totals["replay_seconds"] * 1e9 / replay_accesses
+            lines.append(
+                f"  replayed   {replay_accesses:,} LLC accesses, "
+                f"{nanos:,.0f} ns per access"
             )
         if totals["epochs"]:
             lines.append(

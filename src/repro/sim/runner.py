@@ -19,7 +19,6 @@ from the content-addressed result store (:mod:`repro.exec`).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,43 +156,38 @@ def run_probe(
 
     Both figures describe the LRU baseline's eviction stream, so one run
     serves both: NUcache with zero DeliWays, which behaves as a plain
-    16-way LRU cache (the claims suite pins Fig 4's D=0 ≡ LRU), with a
-    thin recording wrapper around the shared LLC that counts misses per
-    PC and has no behavioural effect on the run.  The solo Next-Use
-    distances (evictions from the line's own filling PC between its
-    eviction and its next use) come from the kept epoch profiles.
+    16-way LRU cache (the claims suite pins Fig 4's D=0 ≡ LRU), with its
+    controller keeping every epoch's profile and miss counts.  With no
+    DeliWays every LLC miss is a ``note_miss``, so the epochs' ``(core,
+    PC)`` miss counts, summed in epoch order, are the misses per PC in
+    first-miss order.  The solo Next-Use distances (evictions from the
+    line's own filling PC between its eviction and its next use) come
+    from the kept epoch profiles.
 
     The run takes the ``REPRO_ENGINE`` engine, else the hybrid replay,
-    which on one core makes every LLC call a scalar run makes, in order.
+    which on one core makes every LLC access a scalar run makes, in
+    order, in NUcache's one-frame replay.
     """
     config = paper_system_config(1, deli_ways=0)
     traces = make_traces([benchmark_name], accesses, seed)
     llc = make_llc("nucache", config, seed)
-    llc.controller.keep_profiles = True
-    misses: Counter = Counter()
-    original_access = llc.access
-
-    def recording_access(block: int, core: int, pc: int, is_write: bool) -> bool:
-        hit = original_access(block, core, pc, is_write)
-        if not hit:
-            misses[pc] += 1
-        return hit
-
-    llc.access = recording_access  # type: ignore[method-assign]
+    controller = llc.controller
+    controller.keep_profiles = True
     make_engine(
         traces, llc, config, FixedLatencyMemory(config.latency.memory),
         mode=resolve_engine_mode() or "vector",
     ).run()
-    # The wrapper holds the LLC through its bound method; dropping it
-    # frees the LLC now rather than at the next full collection.
-    del llc.access
+    misses: Dict[int, int] = {}
+    for counts in (*controller.miss_count_history, controller._miss_counts):
+        for (_core, pc), count in counts.items():
+            misses[pc] = misses.get(pc, 0) + count
     solo = [
         profile.event_deltas[np.arange(profile.num_events), profile.event_pc]
-        for profile in llc.controller.profile_history
+        for profile in controller.profile_history
         if profile.num_events
     ]
     distances = np.concatenate(solo).tolist() if solo else []
-    return ProbeResult(dict(misses), distances)
+    return ProbeResult(misses, distances)
 
 
 #: In-process memo of alone IPCs, backed by the persistent result store.

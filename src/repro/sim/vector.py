@@ -78,6 +78,8 @@ from repro.cache.cache import (
 from repro.common.addr import log2_exact
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
+from repro.common.stats import AccessStats
+from repro.nucache.organization import NUCache, _DeliEntry
 from repro.prefetch.prefetchers import Prefetcher
 from repro.sim.engine import CoreResult, MulticoreEngine, RunWatch, SimResult
 from repro.sim.memory import FixedLatencyMemory
@@ -526,7 +528,7 @@ class VectorEngine(MulticoreEngine):
                 and llc._plain_lru else f"hybrid:llc_policy:{llc.name}"
             )
         latencies = self._resolve_llc_hybrid(all_blocks, llc_idx, levels, bounds)
-        watch.stage("replay")
+        watch.stage("replay", accesses=int(llc_idx.shape[0]))
         return self._collect_from_levels(
             levels, bounds, llc.occupancy_by_core(), extra=self._llc_extra(),
             llc_latencies=(llc_idx, latencies),
@@ -655,22 +657,36 @@ class VectorEngine(MulticoreEngine):
         Private levels are already vectorized; the surviving accesses
         are replayed one at a time against ``self.llc`` /
         ``self.memory`` with exact python-int clocks, in the scalar
-        engine's ``(clock, core_id)`` order.  As in its fast loop, a
-        heap holds one ``(clock, core_id, index)`` key per core with LLC
-        accesses left, and its root core is replayed until its clock
-        passes the next key; a lone core replays to its end with no heap
-        work.  Each field is one flat list in LLC order (``llc_idx`` is
-        grouped by core), a core's clock advances by per-access deltas,
-        and outcomes go to a ``bytearray`` and an ``array('q')`` read
-        back with ``np.frombuffer``.  Epoch rotations, and the
-        controller's ``on_rotate`` hook with them, fire inside
-        ``llc.access`` exactly as they do in a scalar run.
+        engine's ``(clock, core_id)`` order.  The heap holds one int key
+        per core with LLC accesses left, ``clock << bits | core_id``
+        (``bits`` wide enough for every core id, so int order is the
+        scalar loop's tuple order), and each core's next LLC index sits
+        in a list beside it; the root core replays while its key stays
+        below both children's, so a core pays one heap operation per
+        overtake, and a lone core replays to its end with no heap work.
+        Each field is one flat list in LLC order (``llc_idx`` is grouped
+        by core), a core's clock advances by per-access deltas, and hits
+        go to a ``bytearray`` read back with ``np.frombuffer``.
+
+        Over exactly :class:`~repro.sim.memory.FixedLatencyMemory` a
+        miss costs ``memory.latency`` and nothing else per access: the
+        memory's request count grows by the miss count once, after the
+        replay.  Any other memory model is asked per miss
+        (``service(clock)``), and the miss latencies go to an
+        ``array('q')``.  A plain :class:`~repro.nucache.NUCache` over
+        fixed-latency memory replays in one frame
+        (:func:`_replay_nucache`); every other LLC is called through
+        ``llc.access`` (:func:`_replay_llc`).  Both make the same LLC
+        calls in the same order, and epoch rotations, with the
+        controller's ``on_rotate`` hook, fire between the same two
+        accesses as in a scalar run.
         """
         # The kernel is done: release its scratch before the replay's
         # lists are built.  Those lists set the run's peak memory, so
         # each numpy intermediate goes as soon as its list exists.
         clear_buffer_pool()
         llc = self.llc
+        memory = self.memory
         seg, base = self._llc_schedule(llc_idx, levels, bounds)
         n_llc = int(llc_idx.shape[0])
         # base grows within a core, so deltas are small non-negative
@@ -685,42 +701,30 @@ class VectorEngine(MulticoreEngine):
         pc = np.concatenate([t.pcs for t in traces])[llc_idx].tolist()
         write = np.concatenate([t.is_write for t in traces])[llc_idx].tolist()
         hits = bytearray(n_llc)
-        lats = array("q", bytes(8 * n_llc))
+        bits = (len(self.cores) - 1).bit_length()
+        cursor = seg[:-1].tolist()
         ends = seg[1:].tolist()
-        heap = [(delta[i], cid, i) for cid, i in enumerate(seg[:-1].tolist())
-                if i < ends[cid]]
+        heap = [delta[i] << bits | cid for cid, i in enumerate(cursor) if i < ends[cid]]
         heapify(heap)
-        access = llc.access
-        service = self.memory.service
+        schedule = (heap, bits, cursor, ends, delta)
+        stream = (block, pc, write, hits)
         lat_llc = self.config.latency.llc_hit
-        while heap:
-            clock, cid, i = heap[0]
-            if len(heap) > 1:
-                next_clock, next_id, _ = min(heap[1:3])
-                # The root stays first while (clock, cid) < the next key.
-                limit = next_clock if cid < next_id else next_clock - 1
-            else:
-                limit = math.inf
-            end = ends[cid]
-            while True:
-                if access(block[i], cid, pc[i], write[i]):
-                    hits[i] = 1
-                    latency = lat_llc
-                else:
-                    latency = service(clock)
-                lats[i] = latency
-                i += 1
-                if i == end:
-                    break
-                clock += latency + delta[i]
-                if clock > limit:
-                    break
-            if i < end:
-                heapreplace(heap, (clock, cid, i))
-            else:
-                heappop(heap)
-        levels[llc_idx[np.frombuffer(hits, dtype=bool)]] = 2
-        return np.frombuffer(lats, dtype=np.int64)
+        lat_mem = memory.latency
+        fixed = type(memory) is FixedLatencyMemory
+        lats = None if fixed else array("q", bytes(8 * n_llc))
+        if fixed and type(llc) is NUCache:
+            _replay_nucache(llc, schedule, stream, lat_llc, lat_mem)
+        else:
+            _replay_llc(
+                llc.access, None if fixed else memory.service, schedule, stream,
+                lats, lat_llc, lat_mem,
+            )
+        if fixed:
+            memory.requests += n_llc - hits.count(1)
+        hit_mask = np.frombuffer(hits, dtype=bool)
+        levels[llc_idx[hit_mask]] = 2
+        miss_latency = lat_mem if lats is None else np.frombuffer(lats, dtype=np.int64)
+        return np.where(hit_mask, np.int64(lat_llc), miss_latency)
 
     # -- shared schedule and result assembly ------------------------------
 
@@ -829,3 +833,285 @@ class VectorEngine(MulticoreEngine):
             llc_occupancy_by_core=dict(occupancy),
             llc_extra=dict(extra or {}),
         )
+
+
+# ---------------------------------------------------------------------------
+# Hybrid replay loops
+# ---------------------------------------------------------------------------
+
+
+def _replay_llc(access, service, schedule, stream, lats, lat_llc, lat_mem) -> None:
+    """The hybrid replay with one ``access(block, core, pc, is_write)`` call
+    per LLC access, in the schedule's ``(clock, core_id)`` order.
+
+    ``schedule`` is ``(heap, bits, cursor, ends, delta)`` and ``stream``
+    is ``(block, pc, write, hits)``, as
+    :meth:`VectorEngine._resolve_llc_hybrid` builds them.  A hit sets
+    its byte in ``hits`` and costs ``lat_llc``.  With ``service`` set to
+    ``None`` (fixed-latency memory) a miss costs ``lat_mem``; otherwise
+    it costs ``service(clock)``, stored in ``lats``.
+    """
+    heap, bits, cursor, ends, delta = schedule
+    block, pc, write, hits = stream
+    mask = (1 << bits) - 1
+    while heap:
+        key = heap[0]
+        cid = key & mask
+        clock = key >> bits
+        # The root stays first while its key is below both children's:
+        # while clock << bits | cid < rival, that is clock <= limit.
+        size = len(heap)
+        if size > 2:
+            rival = heap[1] if heap[1] < heap[2] else heap[2]
+            limit = (rival - cid - 1) >> bits
+        elif size == 2:
+            limit = (heap[1] - cid - 1) >> bits
+        else:
+            limit = math.inf
+        i = cursor[cid]
+        end = ends[cid]
+        while True:
+            if access(block[i], cid, pc[i], write[i]):
+                hits[i] = 1
+                latency = lat_llc
+            elif service is None:
+                latency = lat_mem
+            else:
+                latency = service(clock)
+                lats[i] = latency
+            i += 1
+            if i == end:
+                break
+            clock += latency + delta[i]
+            if clock > limit:
+                break
+        if i < end:
+            cursor[cid] = i
+            heapreplace(heap, clock << bits | cid)
+        else:
+            heappop(heap)
+
+
+def _replay_nucache(llc: NUCache, schedule, stream, lat_llc: int, lat_mem: int) -> None:
+    """The hybrid replay of a plain NUcache over fixed-latency memory, in
+    one frame.
+
+    The schedule loop of :func:`_replay_llc` with the body of
+    :meth:`NUCache.access <repro.nucache.organization.NUCache.access>`
+    copied in, so an access costs no call.  The LLC's, the controller's,
+    the profiler's and the stats' hot fields are locals, and so are the
+    counters an access bumps: the stats totals and per-core hits and
+    misses, ``deli_hits``, ``retentions``, ``promotions``,
+    ``deli_evictions`` and the epoch's access and miss counts.  They are
+    written back before every ``controller.rotate`` and at the end, so
+    ``_remap_slots``, the ``on_rotate`` hook and an epoch check see what
+    they see in a scalar run, and the epoch's tables are re-read after
+    each rotation.  A core's per-core stats entry is created at its
+    first turn at the heap's root, which is its first access, as
+    ``access`` creates it.  A change to NUcache's access semantics must
+    be made here as well as in ``NUCache.access`` and the reference
+    methods (``docs/nucache.md``).
+    """
+    heap, bits, cursor, ends, delta = schedule
+    block, pc, write, hits = stream
+    mask = (1 << bits) - 1
+    sets = llc.sets
+    set_mask = llc._set_mask
+    index_bits = llc._index_bits
+    deli_ways = llc.deli_ways
+    deli_refresh = llc._deli_refresh
+    remap = llc._remap_slots
+    controller = llc.controller
+    profiler = controller.profiler
+    sample_period = profiler.sample_period
+    history_capacity = profiler.history_capacity
+    stats = llc.stats
+    per_core = stats.per_core
+    entries = [per_core.get(cid) for cid in range(len(cursor))]
+    core_hits = [0 if entry is None else entry.hits for entry in entries]
+    core_misses = [0 if entry is None else entry.misses for entry in entries]
+    total = stats.total
+    total_hits, total_misses = total.hits, total.misses
+    evicted, written_back = total.evictions, total.writebacks
+    deli_hits, retentions = llc.deli_hits, llc.retentions
+    promotions, deli_evictions = llc.promotions, llc.deli_evictions
+    (miss_counts, slot_of, selected, epoch_target, access_target, epoch_accesses,
+     epoch_misses, history, log, reuses, evictions) = _epoch_state(controller)
+    while heap:
+        key = heap[0]
+        cid = key & mask
+        clock = key >> bits
+        if entries[cid] is None:
+            entries[cid] = per_core.setdefault(cid, AccessStats())
+        size = len(heap)
+        if size > 2:
+            rival = heap[1] if heap[1] < heap[2] else heap[2]
+            limit = (rival - cid - 1) >> bits
+        elif size == 2:
+            limit = (heap[1] - cid - 1) >> bits
+        else:
+            limit = math.inf
+        i = cursor[cid]
+        end = ends[cid]
+        while True:
+            block_addr = block[i]
+            set_index = block_addr & set_mask
+            tag = block_addr >> index_bits
+            nu_set = sets[set_index]
+            tag_to_way = nu_set.tag_to_way
+            way = tag_to_way.get(tag, -1)
+            if way >= 0:
+                # MainWay hit: LRUPolicy.touch inlined (move to MRU).
+                stack = nu_set.stack
+                if stack[0] != way:
+                    stack.remove(way)
+                    stack.insert(0, way)
+                if write[i]:
+                    nu_set.dirty[way] = True
+                total_hits += 1
+                core_hits[cid] += 1
+                hits[i] = 1
+                latency = lat_llc
+            else:
+                # NextUseProfiler.on_reuse
+                if not set_index % sample_period:
+                    position = history.pop(block_addr, None)
+                    if position is not None:
+                        reuses.append(position)
+                        reuses.append(len(log))
+                deli = nu_set.deli
+                entry = deli.pop(tag, None)
+                if entry is not None:
+                    deli_hits += 1
+                    total_hits += 1
+                    core_hits[cid] += 1
+                    hits[i] = 1
+                    latency = lat_llc
+                    if write[i]:
+                        entry.dirty = True
+                    if deli_refresh:
+                        # Ablation: keep the line in the DeliWays at MRU
+                        # instead of promoting it back to the MainWays.
+                        deli[tag] = entry
+                    else:
+                        promotions += 1
+                        fill_core = entry.core
+                        fill_pc = entry.pc
+                        fill_slot = entry.pc_slot
+                        fill_dirty = entry.dirty
+                else:
+                    total_misses += 1
+                    core_misses[cid] += 1
+                    latency = lat_mem
+                    # NUcacheController.note_miss
+                    fill_pc = pc[i]
+                    miss_key = (cid, fill_pc)
+                    miss_counts[miss_key] = miss_counts.get(miss_key, 0) + 1
+                    epoch_misses += 1
+                    fill_core = cid
+                    fill_slot = slot_of.get(miss_key, -1)
+                    fill_dirty = write[i]
+                if entry is None or not deli_refresh:
+                    # Fill at MainWay MRU.
+                    stack = nu_set.stack
+                    free = nu_set.free
+                    if free:
+                        way = free.pop()
+                        stack.remove(way)
+                    else:
+                        way = stack.pop()  # LRUPolicy.victim: the stack bottom
+                        victim_tag = nu_set.tags[way]
+                        del tag_to_way[victim_tag]
+                        victim_slot = nu_set.slots[way]
+                        # NextUseProfiler.on_eviction, less its move_to_end.
+                        if victim_slot >= 0 and not set_index % sample_period:
+                            evictions[victim_slot] += 1
+                            history[(victim_tag << index_bits) | set_index] = len(log)
+                            log.append(victim_slot)
+                            if len(history) > history_capacity:
+                                history.popitem(last=False)
+                        # NUcacheController.is_selected: retain, or leave.
+                        if deli_ways > 0 and victim_slot in selected:
+                            deli[victim_tag] = _DeliEntry(
+                                nu_set.cores[way], nu_set.pcs[way], victim_slot,
+                                nu_set.dirty[way], seq=retentions,
+                            )
+                            retentions += 1
+                            if len(deli) > deli_ways:
+                                _old_tag, old_entry = deli.popitem(last=False)
+                                deli_evictions += 1
+                                evicted += 1
+                                if old_entry.dirty:
+                                    written_back += 1
+                        else:
+                            evicted += 1
+                            if nu_set.dirty[way]:
+                                written_back += 1
+                    stack.insert(0, way)
+                    nu_set.tags[way] = tag
+                    nu_set.dirty[way] = fill_dirty
+                    nu_set.cores[way] = fill_core
+                    nu_set.pcs[way] = fill_pc
+                    nu_set.slots[way] = fill_slot
+                    tag_to_way[tag] = way
+            # NUcacheController.note_access
+            epoch_accesses += 1
+            if epoch_misses >= epoch_target or epoch_accesses >= access_target:
+                _store_nucache_counters(llc, entries, core_hits, core_misses, (
+                    total_hits, total_misses, evicted, written_back, deli_hits,
+                    retentions, promotions, deli_evictions, epoch_accesses,
+                    epoch_misses,
+                ))
+                controller.rotate(remap)
+                (miss_counts, slot_of, selected, epoch_target, access_target,
+                 epoch_accesses, epoch_misses, history, log, reuses,
+                 evictions) = _epoch_state(controller)
+            i += 1
+            if i == end:
+                break
+            clock += latency + delta[i]
+            if clock > limit:
+                break
+        if i < end:
+            cursor[cid] = i
+            heapreplace(heap, clock << bits | cid)
+        else:
+            heappop(heap)
+    _store_nucache_counters(llc, entries, core_hits, core_misses, (
+        total_hits, total_misses, evicted, written_back, deli_hits, retentions,
+        promotions, deli_evictions, epoch_accesses, epoch_misses,
+    ))
+
+
+def _epoch_state(controller) -> tuple:
+    """The per-epoch tables and counts the NUcache frame holds in locals.
+
+    ``rotate`` replaces all of them, so the frame reads them again
+    after each rotation.
+    """
+    profiler = controller.profiler
+    return (
+        controller._miss_counts, controller._slot_of, controller._selected,
+        controller._epoch_target, controller._access_target,
+        controller._accesses_this_epoch, controller._misses_this_epoch,
+        profiler._history, profiler._log, profiler._reuses, profiler._evictions,
+    )
+
+
+def _store_nucache_counters(
+    llc: NUCache,
+    entries: List[Optional[AccessStats]],
+    core_hits: List[int],
+    core_misses: List[int],
+    counts: tuple,
+) -> None:
+    """Write the NUcache frame's local counters back to their objects."""
+    total = llc.stats.total
+    controller = llc.controller
+    (total.hits, total.misses, total.evictions, total.writebacks, llc.deli_hits,
+     llc.retentions, llc.promotions, llc.deli_evictions,
+     controller._accesses_this_epoch, controller._misses_this_epoch) = counts
+    for cid, entry in enumerate(entries):
+        if entry is not None:
+            entry.hits = core_hits[cid]
+            entry.misses = core_misses[cid]

@@ -404,6 +404,23 @@ class TestTimings:
             ["hybrid:llc_policy:nucache", "1", "runs"],
         ]
 
+    def test_render_timings_reports_the_replayed_accesses(self):
+        from repro.exec.journal import RunSummary
+        from repro.obs.timings import render_timings
+
+        summary = RunSummary(run_id="r1", path=None, status="completed")
+        trace_records = [
+            {"type": "event", "name": "sim.phase", "phase": "replay",
+             "dur": 0.5, "accesses": 100_000},
+            {"type": "event", "name": "sim.phase", "phase": "replay",
+             "dur": 0.25, "accesses": 50_000},
+            {"type": "event", "name": "sim.phase", "phase": "private", "dur": 0.1},
+        ]
+        lines = render_timings(summary, [], trace_records).splitlines()
+        assert "  replayed   150,000 LLC accesses, 5,000 ns per access" in lines
+        untimed = render_timings(summary, [], trace_records[2:])
+        assert "replayed" not in untimed
+
     def test_render_timings_without_trace(self):
         from repro.exec.journal import RunSummary
         from repro.obs.timings import render_timings

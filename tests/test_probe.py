@@ -41,6 +41,7 @@ from repro.exec import context as exec_context
 from repro.experiments import probe
 from repro.experiments.probe import baseline_probes
 from repro.metrics.basic import observe_results
+from repro.nucache import NUCache
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import runner
 from repro.sim.engine import MulticoreEngine, ProbeResult
@@ -149,13 +150,26 @@ def test_probe_matches_the_runs_it_replaces(
         assert sum(1 for _, dist in references.values() if dist.size) >= 6
 
 
-def test_probe_runs_once_on_the_hybrid_path_and_unwraps_the_llc(fresh, engines):
+def test_probe_runs_once_on_the_hybrid_path_and_unwraps_the_llc(
+    fresh, engines, monkeypatch
+):
+    # The probe counts misses from the controller's epochs, so NUcache's
+    # fused replay frame serves it: nothing wraps or replaces llc.access.
+    set_names = []
+    setattr_ = NUCache.__setattr__
+
+    def recording_setattr(llc, name, value):
+        set_names.append(name)
+        setattr_(llc, name, value)
+
+    monkeypatch.setattr(NUCache, "__setattr__", recording_setattr)
     names = ("art_like", "mcf_like")
     first = baseline_probes(names, CHECKED_ACCESSES)
     again = baseline_probes(names, CHECKED_ACCESSES)
     assert [engine.fallback_reason for engine in engines] == (
         ["hybrid:llc_policy:nucache"] * len(names)
     )
+    assert "controller" in set_names and "access" not in set_names
     assert all("access" not in vars(engine.llc) for engine in engines)
     assert all(memo is result for memo, result in zip(again, first))
     totals = exec_context.totals()

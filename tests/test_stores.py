@@ -543,6 +543,63 @@ class TestEntryCodec:
             assert decoded is not None
             assert decoded.to_dict() == result.to_dict()
 
+    def test_v2_entry_with_a_created_time_reads_back(self):
+        """Entries packed when the codec still wrote ``created`` decode."""
+        import struct
+        import zlib
+
+        from repro.exec.job import ENGINE_VERSION
+        from repro.exec.stores.base import ENTRY_MAGIC, decode_entry
+
+        job = _job()
+        result = execute_job(job)
+        raw = json.dumps(
+            {
+                "engine_version": ENGINE_VERSION,
+                "created": time.time(),
+                "job": job.to_dict(),
+                "result": result.to_dict(),
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        packed = ENTRY_MAGIC + struct.pack(">I", len(raw)) + zlib.compress(raw, 6)
+        decoded, reason = decode_entry(packed, job)
+        assert reason is None
+        assert decoded is not None
+        assert decoded.to_dict() == result.to_dict()
+
+    def test_one_job_and_result_encode_to_identical_bytes(self):
+        """An entry holds no timestamp: two puts publish the same bytes."""
+        from repro.exec.stores.base import encode_entry, inflate_entry
+
+        job = _job()
+        result = execute_job(job)
+        first = encode_entry(job, result)
+        time.sleep(0.01)
+        assert encode_entry(job, result) == first
+        assert "created" not in json.loads(inflate_entry(first))
+
+    def test_two_cold_batches_leave_byte_identical_stores(self, tmp_path):
+        """Separate cold runs of one batch write the same v1/ trees."""
+        from repro.exec.job import ENGINE_VERSION
+
+        batch = [_job(seed) for seed in range(3)] + [
+            SimJob.mix("mix2_1", "nucache", 2_000)
+        ]
+        trees = []
+        for name in ("a", "b"):
+            base = tmp_path / name
+            scheduler = Scheduler(jobs=1, store=FileResultStore(base))
+            scheduler.run(batch)
+            assert scheduler.last_report.completed == len(batch)
+            root = base / f"v{ENGINE_VERSION}"
+            trees.append({
+                str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()
+            })
+        assert len(trees[0]) == len(batch)
+        assert trees[0] == trees[1]
+
     def test_pack_is_smaller_than_logical(self):
         from repro.exec.stores.base import (
             ENTRY_MAGIC,

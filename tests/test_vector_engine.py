@@ -281,14 +281,26 @@ class TestEngineEquivalence:
         _, _, vector = _run_both(["mcf_like", "milc_like"], "lru", "bandwidth", 0.25)
         assert vector.fallback_reason == "hybrid:memory_model"
 
+    @pytest.mark.parametrize("cores", [3, 4, 8])
     @pytest.mark.parametrize(
-        "policy,memory_model", [("nucache", "fixed"), ("lru", "bandwidth")]
+        "policy,memory_model,fused",
+        [
+            ("nucache", "fixed", True),
+            ("nucache-ucp", "fixed", False),
+            ("lru", "bandwidth", False),
+        ],
     )
-    def test_tied_clocks_replay_in_scalar_order(self, policy, memory_model):
-        # Relocated copies of one gap-0 trace keep the four cores' clocks
+    def test_tied_clocks_replay_in_scalar_order(
+        self, policy, memory_model, fused, cores, monkeypatch
+    ):
+        # Relocated copies of one gap-0 trace keep the cores' clocks
         # tied, so the hybrid replay's (clock, core_id) tie-break decides
-        # which core reaches the LLC (and the memory channel) first.
-        case = fuzz.FuzzCase(policy=policy, cores=4)
+        # which core reaches the LLC (and the memory channel) first.  At
+        # 3 and 4 cores a schedule key packs the core id in 2 bits, at 8
+        # in 3.  A plain NUcache over fixed memory replays in its fused
+        # frame, the other two cases in the generic loop.
+        frames = _count_nucache_frames(monkeypatch)
+        case = fuzz.FuzzCase(policy=policy, cores=cores, ways=max(8, 2 * cores))
         config = fuzz.system_config(case)
         blocks = [(7 * i) % 96 for i in range(1500)]
         pcs = [0x400000 + (i % 9) * 4 for i in range(1500)]
@@ -302,7 +314,33 @@ class TestEngineEquivalence:
             )
             results.append(json.dumps(engine.run().to_dict(), sort_keys=True))
         assert engine.fallback_reason.startswith("hybrid:")
+        assert frames == ([1] if fused else [])
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "mix,policy,fused", [("mix4_1", "nucache", True), ("mix4_3", "sdbp", False)]
+    )
+    def test_fixed_memory_counts_the_scalar_requests(
+        self, mix, policy, fused, monkeypatch
+    ):
+        # Over exactly FixedLatencyMemory the replay never calls
+        # service(); it adds its miss count to the memory's requests once.
+        frames = _count_nucache_frames(monkeypatch)
+        members = list(mix_members(mix))
+        config = paper_system_config(len(members))
+        traces = make_traces(members, 3_000, 11)
+        runs = []
+        for cls in (MulticoreEngine, VectorEngine):
+            memory = FixedLatencyMemory(config.latency.memory)
+            engine = cls(
+                traces, make_llc(policy, config, 11), config, memory,
+                warmup_fraction=0.25,
+            )
+            runs.append((engine.run().to_dict(), memory.requests))
+        assert engine.fallback_reason == f"hybrid:llc_policy:{policy}"
+        assert frames == ([1] if fused else [])
+        assert runs[0][1] > 0 and runs[0][1] == runs[1][1]
+        assert runs[0][0] == runs[1][0]
 
     @pytest.mark.parametrize(
         "mix,policy", [("mix4_1", "nucache"), ("mix2_1", "lru")]
@@ -342,6 +380,157 @@ class TestEngineEquivalence:
             FixedLatencyMemory(config.latency.memory), warmup_fraction=0.25,
         ).run()
         assert checked.to_dict() == vector.to_dict()
+
+
+def _count_nucache_frames(monkeypatch):
+    """Count the hybrid replays that take NUcache's fused frame."""
+    frames = []
+    fused = vector._replay_nucache
+
+    def counting(*args):
+        frames.append(1)
+        return fused(*args)
+
+    monkeypatch.setattr(vector, "_replay_nucache", counting)
+    return frames
+
+
+def _stream_traces(case):
+    """One trace per core from a fuzz case's stream (blocks shared)."""
+    stream = fuzz.generate_stream(case)
+    return [
+        make_trace(
+            [block for block, core, _pc, _w in stream if core == cid],
+            pcs=[pc for _b, core, pc, _w in stream if core == cid],
+            writes=[write for _b, core, _pc, write in stream if core == cid],
+            gap=1,
+        )
+        for cid in range(case.cores)
+    ]
+
+
+def _nucache_state(llc):
+    """Everything a NUcache access can change, as comparable values."""
+    controller = llc.controller
+    profiler = controller.profiler
+    stats = llc.stats
+    return {
+        "sets": [
+            (list(s.tag_to_way.items()), s.stack, s.free, s.tags, s.dirty,
+             s.cores, s.pcs, s.slots,
+             [(tag, e.core, e.pc, e.pc_slot, e.dirty, e.seq)
+              for tag, e in s.deli.items()])
+            for s in llc.sets
+        ],
+        "llc": (llc.deli_hits, llc.retentions, llc.promotions, llc.deli_evictions),
+        "controller": (
+            list(controller._slot_of.items()), controller._slot_keys,
+            sorted(controller._selected), list(controller._miss_counts.items()),
+            controller._misses_this_epoch, controller._accesses_this_epoch,
+            controller._epoch_target, controller._access_target,
+            controller.epochs_completed,
+        ),
+        "profiler": (
+            list(profiler._history.items()), profiler._log, profiler._reuses,
+            profiler._evictions, profiler._num_slots,
+        ),
+        "stats": (
+            dataclasses.astuple(stats.total),
+            [(core, dataclasses.astuple(entry))
+             for core, entry in stats.per_core.items()],
+        ),
+    }
+
+
+#: NUcache settings the fused frame must replay as ``access`` does: the
+#: defaults, the fuzz grid's variants, and no DeliWays (the probe's).
+FRAME_VARIANTS = [{}, *fuzz.NUCACHE_VARIANTS, {"deli_ways": 0}]
+
+
+class TestNUcacheReplayFrame:
+    """NUcache's fused replay frame in lockstep with the generic loop."""
+
+    def _replay(self, case, frame, monkeypatch):
+        """One hybrid run through ``frame``, or through the generic loop
+        when it is ``None``; returns outcomes, end state and rotations."""
+        config = fuzz.system_config(case)
+        llc = make_llc("nucache", config, case.seed)
+        rotations = []
+        llc.controller.on_rotate = lambda controller: rotations.append(
+            (llc.snapshot_counters(), _nucache_state(llc))
+        )
+        outcomes = []
+
+        def replay(llc, schedule, stream, lat_llc, lat_mem):
+            if frame is not None:
+                frame(llc, schedule, stream, lat_llc, lat_mem)
+            else:
+                vector._replay_llc(
+                    llc.access, None, schedule, stream, None, lat_llc, lat_mem
+                )
+            outcomes.append(bytes(stream[3]))
+
+        monkeypatch.setattr(vector, "_replay_nucache", replay)
+        memory = FixedLatencyMemory(config.latency.memory)
+        engine = VectorEngine(_stream_traces(case), llc, config, memory)
+        payload = engine.run().to_dict()
+        assert engine.fallback_reason == "hybrid:llc_policy:nucache"
+        return outcomes, payload, memory.requests, _nucache_state(llc), rotations
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "variant", FRAME_VARIANTS,
+        ids=[",".join(f"{k}={v}" for k, v in v.items()) or "default"
+             for v in FRAME_VARIANTS],
+    )
+    def test_frame_matches_the_access_calls(self, variant, cores, monkeypatch):
+        case = fuzz.FuzzCase(policy="nucache", cores=cores, accesses=3_000, **variant)
+        frame = self._replay(case, vector._replay_nucache, monkeypatch)
+        generic = self._replay(case, None, monkeypatch)
+        outcomes, _, _, state, rotations = frame
+        assert len(outcomes) == 1 and outcomes[0].count(1)
+        assert len(rotations) >= 4
+        assert len(state["stats"][1]) == cores
+        for got, want in zip(frame, generic):
+            assert got == want
+
+    def test_traced_checked_run_matches_the_scalar_epochs(
+        self, tmp_path, monkeypatch
+    ):
+        # Epoch checks run inside the frame's rotations, so they see its
+        # counters only if the frame stores them back first; retained
+        # DeliWay lines make the retention law bite.
+        frames = _count_nucache_frames(monkeypatch)
+        monkeypatch.setenv(CHECK_ENV_VAR, "epoch")
+        case = fuzz.FuzzCase(policy="nucache", cores=2, accesses=4_000)
+        config = fuzz.system_config(case)
+        runs = []
+        for cls in (MulticoreEngine, VectorEngine):
+            engine = cls(
+                _stream_traces(case), make_llc("nucache", config, case.seed),
+                config, FixedLatencyMemory(config.latency.memory),
+            )
+            llc = engine.llc
+            resident = []
+            rotate = llc.controller.rotate
+
+            def recording_rotate(remap, llc=llc, rotate=rotate, resident=resident):
+                resident.append(sum(len(s.deli) for s in llc.sets))
+                return rotate(remap)
+
+            llc.controller.rotate = recording_rotate
+            payload, records = _traced_run(engine, tmp_path / cls.__name__)
+            epochs = [
+                (r["epoch"], r["selected"])
+                for r in records if r["name"] == "nucache.epoch"
+            ]
+            runs.append((payload, epochs, resident))
+        assert engine.fallback_reason == "hybrid:llc_policy:nucache"
+        assert frames == [1]
+        assert runs[0] == runs[1]
+        payload, epochs, resident = runs[1]
+        assert len(epochs) >= 4
+        assert any(count > 0 for count in resident[1:])
 
 
 class TestFallbackTriggers:
@@ -425,6 +614,8 @@ class TestObservedRuns:
         assert ends == [("sim.run", "hybrid:llc_policy:nucache")]
         phases = [r["phase"] for r in records if r["name"] == "sim.phase"]
         assert phases == ["private", "replay", "collect"]
+        (replay,) = [r for r in records if r.get("phase") == "replay"]
+        assert replay["accesses"] == engine.llc.stats.total.accesses > 0
         controller = engine.llc.controller
         epochs = [r["epoch"] for r in records if r["name"] == "nucache.epoch"]
         assert epochs == list(range(1, controller.epochs_completed + 1))
