@@ -13,10 +13,6 @@ Subcommands::
     nucache-repro runs list            # past runs (from their journals)
     nucache-repro runs show <id>       # one run's journal, readable
     nucache-repro runs show <id> --timings   # wall-clock/phase breakdown
-    nucache-repro explore list         # studies, algorithms, objectives
-    nucache-repro explore run nucache-split --algo ga --budget 32 --seed 7
-    nucache-repro explore resume <id>  # finish an interrupted search
-    nucache-repro explore show <id>    # report + per-probe provenance
     nucache-repro sim --mix mix4_1 --policy nucache   # one simulation
     nucache-repro cache stats                         # result-store report
     nucache-repro cache prune --keep 1000             # trim the store
@@ -342,14 +338,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                      if record.get("resumed_from") else ""))
         elif kind == "experiment_start":
             print(f"  {record.get('experiment')}: started")
-        elif kind == "explore_start":
-            print(f"  explore: study={record.get('study')} "
-                  f"algo={record.get('algo')} seed={record.get('seed')} "
-                  f"budget={record.get('budget')} "
-                  f"objective={record.get('objective')} "
-                  f"space={str(record.get('space_hash'))[:16]}")
-        elif kind == "probe":
-            print(_render_probe_record(record))
         elif kind == "batch":
             report = record.get("report") or {}
             print(f"    batch [{record.get('label')}] {record.get('status')}: "
@@ -376,153 +364,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             if record.get("error"):
                 line += f" ({record['error']})"
             print(line)
-    return 0
-
-
-def _render_probe_record(record: dict) -> str:
-    """One journal ``probe`` record as a ``runs show`` line.
-
-    Surfaces what the deterministic report deliberately omits: how many
-    of the probe's jobs were served from the result store vs computed,
-    and the computed jobs' settle times.
-    """
-    params = record.get("params") or {}
-    shown = " ".join(f"{k}={params[k]}" for k in sorted(params))
-    if not record.get("valid"):
-        body = "invalid"
-    else:
-        body = f"objective={record.get('objective')}"
-    keys = record.get("job_keys") or []
-    cached = int(record.get("cached") or 0)
-    computed = int(record.get("computed") or 0)
-    total = cached + computed
-    if record.get("replayed"):
-        provenance = "replayed from journal"
-    elif total:
-        provenance = (
-            f"{len(keys)} jobs, {cached}/{total} cached "
-            f"({cached / total:.0%} cache-hit)"
-        )
-        settle = [float(t) for t in record.get("settle") or []]
-        if settle:
-            provenance += (
-                f", settle max {max(settle):.3f}s "
-                f"avg {sum(settle) / len(settle):.3f}s"
-            )
-    else:
-        provenance = "no jobs"
-    return (f"    probe {record.get('index'):>3}: {body}  [{provenance}]  "
-            f"{shown}")
-
-
-def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro import explore
-
-    if args.explore_cmd == "list":
-        print("studies:")
-        for name in explore.study_names():
-            study = explore.get_study(name)
-            print(f"  {name:<16} {study.title}")
-            print(f"  {'':<16} mix={study.mix} policy={study.policy} "
-                  f"space={study.space.describe()} "
-                  f"({study.space.size} points)")
-        print("\nalgorithms:")
-        print("  " + ", ".join(explore.algorithm_names()))
-        print("\nobjectives:")
-        print("  " + ", ".join(explore.objective_names()))
-        return 0
-
-    if args.explore_cmd == "show":
-        return _explore_show(args.target)
-
-    # run / resume
-    exec_context.configure(
-        jobs=args.jobs,
-        use_cache=False if args.no_cache else None,
-        store=getattr(args, "store", None),
-    )
-
-    def _progress(event: dict) -> None:
-        params = event.get("params") or {}
-        shown = " ".join(f"{k}={params[k]}" for k in sorted(params))
-        if event.get("replayed"):
-            status = "replayed"
-        elif not event.get("valid"):
-            status = "invalid"
-        else:
-            status = f"objective={event.get('objective')}"
-        print(f"[explore] probe {event.get('index')}: {status}  {shown}",
-              file=sys.stderr)
-
-    try:
-        if args.explore_cmd == "resume":
-            outcome = explore.resume_search(
-                args.run_id, output=args.output, progress=_progress
-            )
-        else:
-            outcome = explore.run_search(
-                args.study,
-                algo=args.algo,
-                budget=args.budget,
-                seed=args.seed,
-                objective=args.objective,
-                output=args.output,
-                progress=_progress,
-            )
-    except RunInterrupted as exc:
-        print(f"[explore] {exc}", file=sys.stderr)
-        return 130
-    except (explore.ExploreError, ExecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(explore.render_report(outcome.report))
-    print(f"[explore] id={outcome.run_id} report={outcome.report_path}",
-          file=sys.stderr)
-    print(f"[explore] {outcome.describe()}", file=sys.stderr)
-    return 0
-
-
-def _explore_show(target: str) -> int:
-    """Render an explore run (by id/prefix) or explore.json (by path)."""
-    from pathlib import Path as _Path
-
-    from repro import explore
-
-    report = None
-    records: list = []
-    if _Path(target).is_file():
-        try:
-            report = explore.load_report(target)
-        except explore.ExploreError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            summary = run_journal.find_run(target)
-        except ExecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        records = run_journal.read_records(summary.path)
-        start = next(
-            (r for r in records if r.get("record") == "explore_start"), None
-        )
-        if start is None:
-            print(f"error: run {summary.run_id} is not an exploration run "
-                  "(try 'runs show')", file=sys.stderr)
-            return 2
-        output = _Path(str(start.get("output") or ""))
-        if output.is_file():
-            report = explore.load_report(output)
-        else:
-            print(f"[explore] no report at {output} (run interrupted?); "
-                  "showing journal records only", file=sys.stderr)
-    if report is not None:
-        print(explore.render_report(report))
-    probes = [r for r in records if r.get("record") == "probe"]
-    if probes:
-        print("\nprobe provenance (from the run journal):")
-        for record in probes:
-            print(_render_probe_record(record))
     return 0
 
 
@@ -787,77 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of the raw records",
     )
     runs_parser.set_defaults(func=_cmd_runs)
-
-    explore_parser = subparsers.add_parser(
-        "explore", help="design-space search over the NUcache knobs"
-    )
-    explore_sub = explore_parser.add_subparsers(dest="explore_cmd", required=True)
-    explore_list = explore_sub.add_parser(
-        "list", help="list studies, search algorithms, and objectives"
-    )
-    explore_list.set_defaults(func=_cmd_explore)
-
-    def _add_explore_exec_args(target: argparse.ArgumentParser) -> None:
-        target.add_argument(
-            "--jobs", type=_positive_int, default=None, metavar="N",
-            help="worker processes (default: REPRO_JOBS or 1); the search "
-            "trajectory is identical at any worker count",
-        )
-        target.add_argument(
-            "--no-cache", action="store_true",
-            help="bypass the persistent result store (always recompute)",
-        )
-        target.add_argument(
-            "--store", default=None, metavar="SPEC",
-            help=_STORE_HELP,
-        )
-        target.add_argument(
-            "-o", "--output", default=None, metavar="PATH",
-            help="where to write explore.json "
-            "(default: <cache dir>/explore/<run-id>.json)",
-        )
-
-    explore_run = explore_sub.add_parser(
-        "run", help="run a search study (see 'explore list')"
-    )
-    explore_run.add_argument("study", help="study name (see 'explore list')")
-    explore_run.add_argument(
-        "--algo", default="random", metavar="NAME",
-        help="search algorithm: random, grid, hill, or ga "
-        "(default: %(default)s)",
-    )
-    explore_run.add_argument(
-        "--budget", type=_positive_int, default=16, metavar="N",
-        help="number of probes to evaluate (default: %(default)s)",
-    )
-    explore_run.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="search seed (proposal randomness only; simulations use the "
-        "study's sim seed; default: %(default)s)",
-    )
-    explore_run.add_argument(
-        "--objective", default=None, metavar="NAME",
-        help="objective overriding the study default (ws, ipc, hit_rate, mpki)",
-    )
-    _add_explore_exec_args(explore_run)
-    explore_run.set_defaults(func=_cmd_explore)
-
-    explore_resume = explore_sub.add_parser(
-        "resume", help="resume an interrupted search from its journal"
-    )
-    explore_resume.add_argument(
-        "run_id", help="run id (or unambiguous prefix) of the search to resume",
-    )
-    _add_explore_exec_args(explore_resume)
-    explore_resume.set_defaults(func=_cmd_explore)
-
-    explore_show = explore_sub.add_parser(
-        "show", help="render a finished search: report plus probe provenance"
-    )
-    explore_show.add_argument(
-        "target", help="run id (or prefix), or a path to an explore.json",
-    )
-    explore_show.set_defaults(func=_cmd_explore)
 
     sim_parser = subparsers.add_parser("sim", help="run one simulation")
     group = sim_parser.add_mutually_exclusive_group(required=True)

@@ -33,7 +33,6 @@ See ``docs/execution.md`` for the full model.
 from repro.common.errors import RunInterrupted, ValidationError
 from repro.exec.context import (
     ExecConfig,
-    active_journal,
     configure,
     current,
     get_scheduler,
@@ -85,7 +84,6 @@ __all__ = [
     "StoreStats",
     "ValidationError",
     "make_store",
-    "active_journal",
     "check_result",
     "configure",
     "current",

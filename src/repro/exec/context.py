@@ -30,7 +30,7 @@ from repro.common.errors import ExecError, RunInterrupted
 from repro.exec.faults import FaultPlan, FaultyExecute, FaultyStore
 from repro.exec.job import JobResult, SimJob, execute_job
 from repro.exec.journal import RunJournal
-from repro.exec.scheduler import BatchReport, ProgressHook, Scheduler
+from repro.exec.scheduler import BatchReport, Scheduler
 from repro.exec.stores import FileResultStore, make_store
 
 #: Environment variable giving the default worker count.
@@ -56,7 +56,6 @@ class ExecConfig:
 
     jobs: int = 1
     use_cache: bool = True
-    progress: Optional[ProgressHook] = None
     #: When set, every executed job runs under cProfile and dumps its
     #: stats here (``run --profile``); empty/None disables profiling.
     profile_dir: Optional[str] = None
@@ -81,7 +80,6 @@ def current() -> ExecConfig:
 def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    progress: Optional[ProgressHook] = None,
     profile_dir: Optional[str] = None,
     store: Optional[str] = None,
 ) -> ExecConfig:
@@ -98,8 +96,6 @@ def configure(
         config.jobs = int(jobs)
     if use_cache is not None:
         config.use_cache = bool(use_cache)
-    if progress is not None:
-        config.progress = progress
     if profile_dir is not None:
         config.profile_dir = profile_dir or None
     if store is not None:
@@ -125,11 +121,6 @@ def set_journal(journal: Optional[RunJournal]) -> None:
     _journal = journal
 
 
-def active_journal() -> Optional[RunJournal]:
-    """The run journal currently receiving batch records, if any."""
-    return _journal
-
-
 def resolve_store() -> Optional[FileResultStore]:
     """The result store per current config (``None`` when caching is off).
 
@@ -144,7 +135,7 @@ def resolve_store() -> Optional[FileResultStore]:
     return make_store(config.store)
 
 
-def get_scheduler(progress: Optional[ProgressHook] = None) -> Scheduler:
+def get_scheduler() -> Scheduler:
     """A scheduler honouring the current process-wide config.
 
     When ``REPRO_FAULTS`` is set (see :mod:`repro.exec.faults`), the job
@@ -166,7 +157,6 @@ def get_scheduler(progress: Optional[ProgressHook] = None) -> Scheduler:
     return Scheduler(
         jobs=config.jobs,
         store=store,
-        progress=progress if progress is not None else config.progress,
         execute=execute,
     )
 

@@ -15,6 +15,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
+import check_docstrings  # noqa: E402
 from check_docstrings import iter_python_files, missing_docstrings  # noqa: E402
 
 
@@ -48,3 +49,20 @@ def test_checker_flags_missing_docstrings(tmp_path):
     # Module, the public def, and the public method — not the private
     # def and not the dunder.
     assert descriptions == {"module", "def public", "def Thing.method"}
+
+
+def test_gate_fails_on_a_missing_path(tmp_path, capsys):
+    documented = tmp_path / "documented.py"
+    documented.write_text('"""Documented."""\n', encoding="utf-8")
+    gone = tmp_path / "gone"
+    assert check_docstrings.main([str(documented)]) == 0
+    assert check_docstrings.main([str(documented), str(gone)]) == 1
+    assert f"{gone}: no such file or directory" in capsys.readouterr().out
+
+
+def test_default_paths_exist():
+    missing = [
+        raw for raw in check_docstrings.DEFAULT_PATHS
+        if not (REPO_ROOT / raw).exists()
+    ]
+    assert not missing, f"stale DEFAULT_PATHS entries: {missing}"

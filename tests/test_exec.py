@@ -618,6 +618,14 @@ class TestContext:
         with pytest.raises(ExecError):
             exec_context.current()
 
+    def test_scheduler_progress_knob_is_gone(self):
+        """Only a ``Scheduler`` built directly takes a progress hook."""
+        with pytest.raises(TypeError, match="progress"):
+            exec_context.configure(progress=print)
+        with pytest.raises(TypeError, match="progress"):
+            exec_context.get_scheduler(progress=print)
+        assert not hasattr(exec_context.current(), "progress")
+
     def test_run_jobs_accumulates_totals(self):
         exec_context.reset_totals()
         exec_context.run_jobs([SimJob.single("hmmer_like", "lru", ACCESSES)])

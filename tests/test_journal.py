@@ -273,6 +273,22 @@ class TestCliRuns:
         assert "torn trailing record" in captured.err
         assert "warning:" in captured.err
 
+    def test_runs_show_skips_record_kinds_it_does_not_know(self, capsys):
+        # Journals in an existing store may hold record kinds no current
+        # command writes (a retired subcommand's ``probe`` records, say):
+        # ``runs show`` renders the records it knows and skips the rest.
+        from repro.cli import main
+
+        journal = RunJournal.create(["fig5"])
+        journal.append({"record": "probe", "index": 0, "params": {"ways": 2}})
+        journal.append({"record": "retired_kind", "detail": "x"})
+        journal.close("completed")
+        assert main(["runs", "show", journal.run_id]) == 0
+        shown = capsys.readouterr().out
+        assert "start: experiments=['fig5']" in shown
+        assert "end: completed" in shown
+        assert "probe" not in shown and "retired_kind" not in shown
+
     def test_run_rejects_experiments_plus_resume(self, capsys):
         from repro.cli import main
 

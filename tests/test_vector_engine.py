@@ -219,6 +219,8 @@ ENGINE_CASES = [
 def _make_memory_model(config, model):
     if model == "bandwidth":
         return BandwidthLimitedMemory(config.latency.memory, 48)
+    if model == "logging":
+        return _LoggingMemory(config.latency.memory)
     return FixedLatencyMemory(config.latency.memory)
 
 
@@ -287,7 +289,9 @@ class TestEngineEquivalence:
         [
             ("nucache", "fixed", True),
             ("nucache-ucp", "fixed", False),
-            ("lru", "bandwidth", False),
+            ("sdbp", "fixed", False),
+            ("lru", "logging", False),
+            ("sdbp", "logging", False),
         ],
     )
     def test_tied_clocks_replay_in_scalar_order(
@@ -295,10 +299,15 @@ class TestEngineEquivalence:
     ):
         # Relocated copies of one gap-0 trace keep the cores' clocks
         # tied, so the hybrid replay's (clock, core_id) tie-break decides
-        # which core reaches the LLC (and the memory channel) first.  At
-        # 3 and 4 cores a schedule key packs the core id in 2 bits, at 8
-        # in 3.  A plain NUcache over fixed memory replays in its fused
-        # frame, the other two cases in the generic loop.
+        # which core reaches the LLC first.  Every miss costs the same on
+        # both memories, so the clocks stay tied; ``_LoggingMemory`` is
+        # not exactly fixed, so its rows take the loop's ``service``
+        # branch.  At 3 and 4 cores a schedule key packs the core id in
+        # 2 bits, at 8 in 3.  A plain NUcache over fixed memory replays
+        # in its fused frame, which makes no ``access`` call, so its rows
+        # compare payloads only; the generic loop's rows also compare
+        # the core of every ``access`` call, which a tie-break error
+        # reorders even where the payload cannot show it.
         frames = _count_nucache_frames(monkeypatch)
         case = fuzz.FuzzCase(policy=policy, cores=cores, ways=max(8, 2 * cores))
         config = fuzz.system_config(case)
@@ -308,13 +317,18 @@ class TestEngineEquivalence:
         traces = [trace.relocated(core_id) for core_id in range(case.cores)]
         results = []
         for cls in (MulticoreEngine, VectorEngine):
+            llc = make_llc(policy, config, case.seed)
+            order = []
+            if not fused:
+                llc.access = _logging_access(llc.access, order)
             engine = cls(
-                traces, make_llc(policy, config, case.seed), config,
-                _make_memory_model(config, memory_model),
+                traces, llc, config, _make_memory_model(config, memory_model),
             )
-            results.append(json.dumps(engine.run().to_dict(), sort_keys=True))
+            payload = json.dumps(engine.run().to_dict(), sort_keys=True)
+            results.append((payload, order))
         assert engine.fallback_reason.startswith("hybrid:")
         assert frames == ([1] if fused else [])
+        assert fused or results[0][1]
         assert results[0] == results[1]
 
     @pytest.mark.parametrize(
@@ -380,6 +394,16 @@ class TestEngineEquivalence:
             FixedLatencyMemory(config.latency.memory), warmup_fraction=0.25,
         ).run()
         assert checked.to_dict() == vector.to_dict()
+
+
+def _logging_access(access, order):
+    """``access`` that first appends the calling core's id to ``order``."""
+
+    def logged(block, core, pc, is_write):
+        order.append(core)
+        return access(block, core, pc, is_write)
+
+    return logged
 
 
 def _count_nucache_frames(monkeypatch):

@@ -14,9 +14,11 @@ Usage::
     python tools/check_docstrings.py src/repro/exec src/repro/obs
 
 Exit status is the number of offenders (0 = fully covered), so CI can
-use it directly as a gate.  CI additionally runs ``interrogate`` for
-the same check with coverage percentages; this script is the no-dependency
-version that works in any environment the repo supports.
+use it directly as a gate.  A path that does not exist counts as one
+offender: a stale entry would otherwise shrink the gate unnoticed.  CI
+additionally runs ``interrogate`` for the same check with coverage
+percentages; this script is the no-dependency version that works in any
+environment the repo supports.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ DEFAULT_PATHS = (
     "src/repro/bench",
     "src/repro/check",
     "src/repro/exec",
-    "src/repro/explore",
     "src/repro/obs",
     "src/repro/sim/vector.py",
 )
@@ -80,14 +81,20 @@ def missing_docstrings(path: Path) -> List[Tuple[int, str]]:
 def main(argv: List[str]) -> int:
     """Check the given paths; print offenders; return their count."""
     paths = argv or list(DEFAULT_PATHS)
-    total = 0
-    for path in iter_python_files(paths):
+    missing = [raw for raw in paths if not Path(raw).exists()]
+    for raw in missing:
+        print(f"{raw}: no such file or directory")
+    undocumented = 0
+    for path in iter_python_files([raw for raw in paths if raw not in missing]):
         for lineno, description in missing_docstrings(path):
             print(f"{path}:{lineno}: missing docstring: {description}")
-            total += 1
-    if total:
-        print(f"{total} public definition(s) lack docstrings", file=sys.stderr)
-    return total
+            undocumented += 1
+    if missing:
+        print(f"{len(missing)} path(s) do not exist", file=sys.stderr)
+    if undocumented:
+        print(f"{undocumented} public definition(s) lack docstrings",
+              file=sys.stderr)
+    return len(missing) + undocumented
 
 
 if __name__ == "__main__":
