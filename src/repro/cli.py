@@ -101,8 +101,14 @@ def _resolve_run_request(args: argparse.Namespace) -> tuple:
     requested = args.experiments
     if not requested:
         raise ExecError("run needs experiment ids (or --resume <run-id>)")
+    known = experiment_ids()
     if requested == ["all"]:
-        requested = experiment_ids()
+        requested = known
+    unknown = [exp for exp in requested if exp not in known]
+    if unknown:
+        raise ExecError(
+            f"unknown experiment(s) {', '.join(unknown)}; known: {', '.join(known)}"
+        )
     return requested, None
 
 
@@ -203,7 +209,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     try:
         requested, resumed_from = _resolve_run_request(args)
-    except ExecError as exc:
+        exec_context.resolve_store()  # a bad --store fails before the journal
+    except (ExecError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if resumed_from is not None and not requested:

@@ -5,6 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec import context as exec_context
+from repro.exec.stores import STORE_ENV_VAR
+from repro.sim.vector import ENGINE_ENV, ENGINE_MODES
+
+#: Two commands that take ``--engine``, as argv prefixes.
+ENGINE_COMMANDS = {"run": ["run", "fig5"], "sim": ["sim", "--mix", "mix2_1"]}
 
 
 class TestParser:
@@ -59,6 +65,49 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["store", "serve"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig5", "--jobs"], ["bench", "--repetitions"],
+         ["check", "--accesses"]],
+        ids=["run-jobs", "bench-repetitions", "check-accesses"],
+    )
+    def test_count_flags_reject_non_positive_values(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [value])
+        assert exc.value.code == 2
+        assert f"must be a positive integer, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ENGINE_MODES)
+    @pytest.mark.parametrize("command", sorted(ENGINE_COMMANDS))
+    def test_engine_flag_accepts_each_mode(self, command, engine):
+        argv = ENGINE_COMMANDS[command] + ["--engine", engine]
+        assert build_parser().parse_args(argv).engine == engine
+
+    @pytest.mark.parametrize("command", sorted(ENGINE_COMMANDS))
+    def test_engine_flag_rejects_an_unknown_mode(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(ENGINE_COMMANDS[command] + ["--engine", "gpu"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gpu'" in capsys.readouterr().err
+
+    def test_runs_actions_and_flags(self):
+        listed = build_parser().parse_args(["runs", "list"])
+        assert (listed.action, listed.run_id, listed.timings) == ("list", None, False)
+        shown = build_parser().parse_args(["runs", "show", "20260101", "--timings"])
+        assert (shown.action, shown.run_id, shown.timings) == (
+            "show", "20260101", True,
+        )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["runs", "delete"])
+
+    def test_bench_compare_defaults_to_a_15_percent_gate(self):
+        args = build_parser().parse_args(["bench", "compare", "a.json", "b.json"])
+        assert (args.bench_cmd, args.baseline, args.candidate) == (
+            "compare", "a.json", "b.json",
+        )
+        assert args.max_regress == "15%"
 
 
 class TestExecution:
@@ -124,6 +173,88 @@ class TestExecution:
         assert "cached" in captured.err
 
 
+class TestUsageErrors:
+    """Bad input exits 2 with one ``error:`` line, before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def _own_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "base"))
+        exec_context.reset()
+        yield
+        exec_context.reset()
+
+    def _no_run_recorded(self, capsys):
+        assert main(["runs", "list"]) == 0
+        return capsys.readouterr().out.strip() == "no recorded runs"
+
+    @pytest.mark.parametrize(
+        "experiments", [["nosuch"], ["table1", "nosuch"]],
+        ids=["alone", "after-a-known-id"],
+    )
+    def test_run_rejects_unknown_experiments_up_front(self, experiments, capsys):
+        assert main(["run", *experiments]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # table1 did not run either
+        assert "error: unknown experiment(s) nosuch; known: table1, fig1" in (
+            captured.err
+        )
+        assert self._no_run_recorded(capsys)
+
+    def test_run_rejects_a_bad_store_spec_up_front(self, capsys):
+        assert main(["run", "table1", "--store", "s3://bucket"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unknown store backend 's3'" in captured.err
+        assert "accepted forms: fs, fs://, or fs://PATH" in captured.err
+        assert self._no_run_recorded(capsys)
+
+    def test_cache_rejects_a_bad_store_spec(self, capsys):
+        assert main(["cache", "stats", "--store", "s3://bucket"]) == 2
+        assert "error: unknown store backend 's3'" in capsys.readouterr().err
+
+    def test_run_store_flag_roots_the_store_elsewhere(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        spec = f"fs://{tmp_path / 'elsewhere'}"
+        assert main(["run", "fig3", "--store", spec]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--store", spec]) == 0
+        elsewhere = capsys.readouterr().out
+        assert main(["cache", "stats"]) == 0
+        default = capsys.readouterr().out
+        assert int(elsewhere.split()[0]) > 0  # "<n> entries, ..."
+        assert default.startswith("0 entries")
+
+    def test_run_resume_of_an_unknown_id(self, capsys):
+        assert main(["run", "--resume", "19990101"]) == 2
+        assert "error: no run journal matching '19990101'" in capsys.readouterr().err
+
+    def test_runs_show_of_an_unknown_id(self, capsys):
+        assert main(["runs", "show", "19990101"]) == 2
+        assert "error: no run journal matching '19990101'" in capsys.readouterr().err
+
+    def test_runs_list_without_runs(self, capsys):
+        assert self._no_run_recorded(capsys)
+
+    def test_bench_rejects_unknown_benchmarks(self, capsys):
+        assert main(["bench", "--quick", "--only", "lru_access", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown benchmark(s) ['nosuch']" in err
+        assert "'lru_access'" in err
+
+    def test_bench_compare_of_a_missing_payload(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["bench", "compare", missing, missing]) == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["abc", "150%"])
+    def test_bench_compare_rejects_a_bad_threshold(self, threshold, capsys):
+        # The threshold is parsed before either payload is read.
+        assert main(["bench", "compare", "a.json", "b.json",
+                     "--max-regress", threshold]) == 2
+        assert "regression threshold" in capsys.readouterr().err
+
+
 class TestNewSubcommands:
     def test_characterize(self, capsys):
         assert main(["characterize", "hmmer_like", "--accesses", "5000"]) == 0
@@ -140,6 +271,45 @@ class TestNewSubcommands:
         from repro.workloads.textio import load_text
 
         assert len(load_text(out_file)) == 500
+
+    def test_trace_export_is_fixed_by_its_seed(self, tmp_path, capsys):
+        def export(name, seed):
+            path = tmp_path / name
+            assert main(["trace", "hmmer_like", "-o", str(path),
+                         "--accesses", "500", "--seed", seed]) == 0
+            return path.read_bytes()
+
+        first = export("a.trace", "7")
+        assert export("b.trace", "7") == first
+        assert export("c.trace", "8") != first
+
+    @pytest.mark.parametrize("policy", ["lru", "nucache"])
+    def test_sim_prints_the_same_numbers_under_every_engine(
+        self, policy, capsys, monkeypatch
+    ):
+        # ``--engine`` writes the environment; setting it here first
+        # makes monkeypatch restore it afterwards.
+        monkeypatch.setenv(ENGINE_ENV, "")
+        outputs = set()
+        for engine in ENGINE_MODES:
+            assert main(["sim", "--mix", "mix2_1", "--policy", policy,
+                         "--accesses", "4000", "--engine", engine]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+        assert "weighted speedup" in outputs.pop()
+
+    def test_list_names_every_experiment_policy_and_mix(self, capsys):
+        from repro.experiments import experiment_ids
+        from repro.sim.policies import policy_names
+        from repro.workloads.mixes import all_mixes
+
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        listed = out.split("\n\npolicies:")[0].split()[1:]
+        assert listed == experiment_ids()
+        assert ", ".join(policy_names()) in out
+        for names in all_mixes().values():
+            assert ", ".join(names) in out
 
     def test_trace_export_npz(self, tmp_path):
         out_file = tmp_path / "t.npz"

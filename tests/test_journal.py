@@ -70,6 +70,26 @@ class TestRunJournal:
         assert summary.pending == ["fig6"]
         assert journal.run_id in summary.describe()
 
+    def test_new_run_id_is_sortable_and_names_the_process(self):
+        earlier = run_journal.new_run_id(now=1_700_000_000.0)
+        later = run_journal.new_run_id(now=1_700_000_061.0)
+        assert earlier < later
+        stamp, clock, pid = earlier.split("-")
+        assert len(stamp) == 8 and len(clock) == 6
+        assert (stamp + clock).isdigit()
+        assert pid == f"p{os.getpid()}"
+
+    def test_create_suffixes_a_taken_run_id(self):
+        first = RunJournal.create(["fig5"], run_id="20250101-000000-p1")
+        second = RunJournal.create(["fig6"], run_id="20250101-000000-p1")
+        third = RunJournal.create(["fig7"], run_id="20250101-000000-p1")
+        assert second.run_id == "20250101-000000-p1-1"
+        assert third.run_id == "20250101-000000-p1-2"
+        # Each journal keeps its own records; none was appended to another.
+        assert run_journal.summarize(first.path).experiments == ["fig5"]
+        assert run_journal.summarize(second.path).experiments == ["fig6"]
+        assert run_journal.summarize(third.path).run_id == third.run_id
+
     def test_append_after_close_is_ignored(self):
         journal = RunJournal.create(["fig5"])
         journal.close("completed")
@@ -288,6 +308,58 @@ class TestCliRuns:
         assert "start: experiments=['fig5']" in shown
         assert "end: completed" in shown
         assert "probe" not in shown and "retired_kind" not in shown
+
+    def test_runs_show_renders_run_provenance(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "table1", "--jobs", "2", "--no-cache"]) == 0
+        capsys.readouterr()
+        (summary,) = run_journal.list_runs()
+        assert main(["runs", "show", summary.run_id]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        assert shown[0] == summary.describe()
+        assert shown[1] == "  start: experiments=['table1'] jobs=2 use_cache=False"
+        assert shown[2] == "  table1: started"
+        assert shown[3].startswith("  table1: ok in ")
+        assert shown[4] == "  end: completed"
+
+    def test_resumed_run_names_its_origin(self, capsys):
+        from repro.cli import main
+
+        origin = RunJournal.create(["table1", "table2"])
+        origin.record_experiment_end("table1", status="ok")
+        origin.close("interrupted")
+        assert main(["run", "--resume", origin.run_id]) == 0
+        capsys.readouterr()
+        resumed = next(
+            s for s in run_journal.list_runs() if s.run_id != origin.run_id
+        )
+        assert resumed.resumed_from == origin.run_id
+        assert resumed.experiments == ["table2"]
+        assert f"(resumed from {origin.run_id})" in resumed.describe()
+        assert main(["runs", "show", resumed.run_id]) == 0
+        assert f"resumed_from={origin.run_id}" in capsys.readouterr().out
+
+    def test_failed_experiment_closes_the_journal_failed(self, capsys,
+                                                         monkeypatch):
+        from repro import experiments
+        from repro.cli import main
+
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "table2", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", "table1", "table2"])
+        capsys.readouterr()
+        (summary,) = run_journal.list_runs()
+        assert summary.status == "failed"
+        assert summary.completed == ["table1"]
+        assert summary.pending == ["table2"]
+        assert main(["runs", "show", summary.run_id]) == 0
+        shown = capsys.readouterr().out
+        assert "  table2: failed" in shown
+        assert "  end: failed (RuntimeError('boom'))" in shown
 
     def test_run_rejects_experiments_plus_resume(self, capsys):
         from repro.cli import main

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.common.rng import DEFAULT_SEED, derive_seed, make_rng
+import pytest
+
+from repro.common.rng import DEFAULT_SEED, backoff_delay, derive_seed, make_rng
 from repro.common.stats import AccessStats, SharedCacheStats
 
 
@@ -31,6 +33,32 @@ class TestMakeRng:
         a = make_rng(7, "one").integers(0, 1000, size=10)
         b = make_rng(7, "two").integers(0, 1000, size=10)
         assert not (a == b).all()
+
+
+class TestBackoffDelay:
+    @pytest.mark.parametrize("base", [0.0, -1.0])
+    def test_non_positive_base_disables_backoff(self, base):
+        assert [backoff_delay(r, "site", base, 10.0) for r in (1, 2, 8)] == [0.0] * 3
+
+    def test_delay_doubles_per_round_within_the_jitter_band(self):
+        for round_no in range(1, 7):
+            ceiling = 0.1 * 2 ** (round_no - 1)
+            delay = backoff_delay(round_no, "site", 0.1, 100.0)
+            assert 0.5 * ceiling <= delay <= ceiling
+
+    def test_delay_never_exceeds_the_cap(self):
+        for round_no in range(1, 40):
+            assert backoff_delay(round_no, "site", 0.25, 2.0) <= 2.0
+        assert backoff_delay(39, "site", 0.25, 2.0) >= 1.0
+
+    def test_one_site_backs_off_the_same_every_run(self):
+        delays = [backoff_delay(3, "retry:job", 0.1, 5.0) for _ in range(3)]
+        assert len(set(delays)) == 1
+        assert backoff_delay(3, "retry:job", 0.1, 5.0, seed=1) != delays[0]
+
+    def test_distinct_sites_do_not_synchronize(self):
+        delays = {backoff_delay(2, f"retry:{site}", 0.1, 5.0) for site in range(8)}
+        assert len(delays) == 8
 
 
 class TestAccessStats:
