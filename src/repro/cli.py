@@ -58,10 +58,11 @@ from typing import List, Optional
 
 from repro.common.errors import ExecError, ReproError, RunInterrupted, StoreError
 from repro.common.rng import DEFAULT_SEED
-from repro.exec import RunJournal
+from repro.exec import RunJournal, pool_scope
 from repro.exec import context as exec_context
 from repro.exec import journal as run_journal
 from repro.experiments import experiment_ids, run_experiment
+from repro.experiments.base import scaled_accesses
 from repro.metrics.multicore import weighted_speedup
 from repro.sim.policies import policy_names
 from repro.sim.runner import DEFAULT_ACCESSES, alone_ipc, run_mix, run_single
@@ -210,7 +211,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         requested, resumed_from = _resolve_run_request(args)
         exec_context.resolve_store()  # a bad --store fails before the journal
-    except (ExecError, StoreError) as exc:
+        scaled_accesses(1)  # so does a bad REPRO_SCALE
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if resumed_from is not None and not requested:
@@ -230,46 +232,51 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace or args.profile:
         obs = _ObsSession(journal.run_id, trace=args.trace, profile=args.profile)
     try:
-        for experiment_id in requested:
-            exec_context.reset_totals()
-            journal.record_experiment_start(experiment_id)
-            if obs is not None:
-                obs.start_experiment(experiment_id)
-            started = time_mod.monotonic()
-            try:
-                result = run_experiment(experiment_id)
-            except (RunInterrupted, KeyboardInterrupt):
-                journal.record_experiment_end(experiment_id, status="interrupted")
-                journal.close("interrupted")
-                print(
-                    f"[run] interrupted during {experiment_id} — resume with: "
-                    f"nucache-repro run --resume {journal.run_id}",
-                    file=sys.stderr,
-                )
-                return 130
-            except Exception as exc:
-                journal.record_experiment_end(experiment_id, status="failed")
-                journal.close("failed", error=repr(exc))
-                raise
-            if args.bars:
-                from repro.experiments.plots import render_with_bars
+        # One worker pool serves every experiment's pooled rounds; the
+        # scope joins it on every way out.
+        with pool_scope():
+            for experiment_id in requested:
+                exec_context.reset_totals()
+                journal.record_experiment_start(experiment_id)
+                if obs is not None:
+                    obs.start_experiment(experiment_id)
+                started = time_mod.monotonic()
+                try:
+                    result = run_experiment(experiment_id)
+                except (RunInterrupted, KeyboardInterrupt):
+                    journal.record_experiment_end(
+                        experiment_id, status="interrupted"
+                    )
+                    journal.close("interrupted")
+                    print(
+                        f"[run] interrupted during {experiment_id} — resume with: "
+                        f"nucache-repro run --resume {journal.run_id}",
+                        file=sys.stderr,
+                    )
+                    return 130
+                except Exception as exc:
+                    journal.record_experiment_end(experiment_id, status="failed")
+                    journal.close("failed", error=repr(exc))
+                    raise
+                if args.bars:
+                    from repro.experiments.plots import render_with_bars
 
-                text = render_with_bars(result)
-            else:
-                text = result.to_text()
-            print(text)
-            print()
-            journal.record_experiment_end(
-                experiment_id,
-                status="ok",
-                output_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                elapsed=time_mod.monotonic() - started,
-            )
-            if obs is not None:
-                obs.end_experiment(experiment_id)
-            report = exec_context.totals()
-            if report.total:
-                print(f"[exec] {experiment_id}: {report.describe()}", file=sys.stderr)
+                    text = render_with_bars(result)
+                else:
+                    text = result.to_text()
+                print(text)
+                print()
+                journal.record_experiment_end(
+                    experiment_id,
+                    status="ok",
+                    output_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                    elapsed=time_mod.monotonic() - started,
+                )
+                if obs is not None:
+                    obs.end_experiment(experiment_id)
+                report = exec_context.totals()
+                if report.total:
+                    print(f"[exec] {experiment_id}: {report.describe()}", file=sys.stderr)
     finally:
         exec_context.set_journal(None)
         if obs is not None:

@@ -16,7 +16,8 @@ treatment:
   cache hits, fans misses across a process pool with retry, backoff, a
   progress hook, and graceful SIGINT/SIGTERM draining; a store that
   fails mid-run degrades to compute-without-cache instead of aborting
-  the batch.
+  the batch.  Inside :func:`~repro.exec.scheduler.pool_scope` (one
+  ``run``) every batch shares one pool.
 * :mod:`~repro.exec.journal` — an append-only JSONL manifest per run,
   enabling ``run --resume`` and ``runs list/show``.
 * :mod:`~repro.exec.validate` — the engine invariants every result must
@@ -52,7 +53,7 @@ from repro.exec.faults import (
 )
 from repro.exec.job import ENGINE_VERSION, SimJob, execute_job
 from repro.exec.journal import RunJournal, RunSummary, find_run, list_runs
-from repro.exec.scheduler import BatchReport, Scheduler
+from repro.exec.scheduler import BatchReport, Scheduler, pool_scope
 from repro.exec.stores import (
     FileResultStore,
     STORE_BACKEND_ENV_VAR,
@@ -91,6 +92,7 @@ __all__ = [
     "find_run",
     "get_scheduler",
     "list_runs",
+    "pool_scope",
     "reset",
     "reset_totals",
     "resolve_store",

@@ -10,15 +10,19 @@ specs and returns their results in submission order.  The pipeline:
    (:class:`~repro.exec.stores.fs.FileResultStore`) is attached,
    every unique job is first looked up by content hash (the store
    validates and quarantines bad entries on read).
-3. **Execute** — misses run through a ``ProcessPoolExecutor`` when more
+3. **Execute** — misses run on a ``ProcessPoolExecutor`` when more
    than one worker is configured (and there is more than one miss),
-   else inline.  Each miss gets ``1 + retries`` attempts; a worker
-   crash (``BrokenProcessPool``) or per-job timeout tears the pool down,
-   and surviving work is resubmitted to a fresh pool without being
-   charged an attempt.  Retry rounds are separated by exponential
-   backoff with deterministic jitter.  Every fresh result is checked
-   against the engine invariants (:mod:`repro.exec.validate`) before it
-   is accepted or persisted.
+   else inline.  The pool comes from :func:`worker_pool`: inside a
+   :func:`pool_scope` (one ``nucache-repro run``) every pooled round
+   borrows the same pool, forked at the scope's first pooled round;
+   outside one, each round forks its own.  Each miss gets
+   ``1 + retries`` attempts; a worker crash (``BrokenProcessPool``),
+   per-job timeout or interrupt kills the pool's workers, and surviving
+   work is resubmitted to a fresh pool without being charged an
+   attempt.  Retry rounds are separated by exponential backoff with
+   deterministic jitter.  Every fresh result is checked against the
+   engine invariants (:mod:`repro.exec.validate`) before it is accepted
+   or persisted.
 4. **Report** — an optional progress callback receives one event per
    resolved job plus a final ``batch`` event carrying the
    :class:`BatchReport`; per-job outcomes land in
@@ -48,8 +52,9 @@ import traceback as traceback_module
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecError, RunInterrupted, StoreError
 from repro.common.rng import backoff_delay
@@ -153,6 +158,119 @@ class _JobState:
 
 class _Interrupted(Exception):
     """Internal: the interrupt flag was observed while awaiting a future."""
+
+
+def _worker_signals() -> None:
+    """Leave interrupts to the parent and let SIGTERM stop a worker.
+
+    Workers fork while a batch's drain handler holds both signals
+    (:meth:`Scheduler._install_signal_handlers`); in a worker it would
+    only set a flag nothing reads, so ``terminate()`` — ours after a
+    failed round, or ``concurrent.futures``' on a broken pool's
+    survivors — would leave a hung job running.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+class _WorkerPool:
+    """A process pool forked on first use and replaced after a failure."""
+
+    def __init__(self) -> None:
+        self.pool: Optional[ProcessPoolExecutor] = None
+
+    def fork(self, workers: int) -> None:
+        """Fork ``workers`` processes unless a usable pool is held."""
+        if self.pool is not None and self.pool._broken:
+            # A worker died between rounds (OOM-killed, say): the pool
+            # refuses new work.
+            self.discard()
+        if self.pool is None:
+            # Forked workers inherit the parent's modules: import what a
+            # job's run would otherwise import in every worker.
+            import_job_modules()
+            self.pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_signals
+            )
+
+    def discard(self) -> None:
+        """Stop and reap the workers of a round that must not be awaited.
+
+        The next :meth:`fork` starts a fresh pool.
+        """
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        for process in list((getattr(pool, "_processes", None) or {}).values()):
+            try:
+                process.terminate()
+            except Exception:  # noqa: BLE001 — already gone
+                pass
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    def close(self) -> None:
+        """Join the workers once their submitted work is done."""
+        pool, self.pool = self.pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+#: The pool of the enclosing :func:`pool_scope`; ``None`` outside one.
+_scope: Optional[_WorkerPool] = None
+
+
+@contextmanager
+def pool_scope() -> Iterator[None]:
+    """Lend one worker pool to every pooled round inside the block.
+
+    ``nucache-repro run`` opens this scope around its experiments, so a
+    run forks ``--jobs`` workers once, at its first pooled round, rather
+    than once per round; a run whose batches are all store hits forks
+    nothing.  A round that times out, breaks or is interrupted stops the
+    pool's workers, and the next round forks a fresh one.  On exit, by
+    any path, the workers are joined, so none outlives the block and
+    every one is reaped.  A nested scope uses the enclosing one's pool.
+
+    Workers see the parent as it was when they forked.  Everything a job
+    reads from its own process must therefore be fixed before the first
+    batch: the CLI exports ``--engine`` (``REPRO_ENGINE``) and
+    ``--trace`` (``REPRO_TRACE_DIR``) before any experiment runs, and
+    ``REPRO_CHECK`` comes from the caller's environment.  Settings that
+    change per experiment travel with each submission instead (the
+    profile directory of :class:`~repro.obs.profile.ProfiledExecute`,
+    the plan of :class:`~repro.exec.faults.FaultyExecute`).  The scope
+    lasts one block, not the process, so code that changes the
+    environment or patches a module between two scopes still gets
+    fresh workers.
+    """
+    global _scope
+    if _scope is not None:
+        yield
+        return
+    _scope = _WorkerPool()
+    try:
+        yield
+    finally:
+        scope, _scope = _scope, None
+        scope.close()
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[_WorkerPool]:
+    """Lend one pooled round a pool of ``workers`` processes.
+
+    Inside a :func:`pool_scope` this is the scope's pool, kept for the
+    next round; outside one, a pool forked for this round and joined
+    after it.  A round that must not await its workers calls
+    :meth:`_WorkerPool.discard`.
+    """
+    holder = _scope if _scope is not None else _WorkerPool()
+    holder.fork(workers)
+    try:
+        yield holder
+    finally:
+        if holder is not _scope:
+            holder.close()
 
 
 class Scheduler:
@@ -603,12 +721,13 @@ class Scheduler:
         return completed, retry, failed, interrupted
 
     def _run_pool(self, pending: List[_JobState]):
+        with worker_pool(self.jobs) as workers:
+            return self._run_round(workers, pending)
+
+    def _run_round(self, workers: "_WorkerPool", pending: List[_JobState]):
         completed, retry, failed, interrupted = [], [], [], []
-        workers = min(self.jobs, len(pending))
-        # Forked workers inherit the parent's modules: import what a
-        # job's run would otherwise import in every worker.
-        import_job_modules()
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = workers.pool
+        assert pool is not None  # worker_pool forks before it lends
         round_started = time.monotonic()
         futures = [(state, pool.submit(self.execute, state.job)) for state in pending]
         pool_dead = False
@@ -649,7 +768,7 @@ class Scheduler:
                     continue
                 except FutureTimeout:
                     pool_dead = True
-                    self._terminate_workers(pool)
+                    workers.discard()
                     if self._charge(
                         state, f"timed out after {self.timeout}s", elapsed()
                     ):
@@ -682,16 +801,5 @@ class Scheduler:
                     failed.append(state)
         finally:
             if pool_dead or interrupted:
-                self._terminate_workers(pool)
-            pool.shutdown(wait=not (pool_dead or interrupted), cancel_futures=True)
+                workers.discard()
         return completed, retry, failed, interrupted
-
-    @staticmethod
-    def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-        """Best-effort kill of a pool whose work must not be awaited."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001 — already dying
-                pass

@@ -8,6 +8,7 @@ The same object feeds the CLI's text tables, the claims tests
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -42,8 +43,10 @@ def scaled_accesses(default: int) -> int:
         scale = float(raw)
     except ValueError:
         raise ExperimentError(f"{SCALE_ENV_VAR} must be a float, got {raw!r}") from None
-    if scale <= 0:
-        raise ExperimentError(f"{SCALE_ENV_VAR} must be positive, got {scale}")
+    if not math.isfinite(scale) or scale <= 0:
+        raise ExperimentError(
+            f"{SCALE_ENV_VAR} must be a positive finite number, got {raw!r}"
+        )
     return max(10_000, int(default * scale))
 
 

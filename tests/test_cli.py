@@ -208,6 +208,16 @@ class TestUsageErrors:
         assert "accepted forms: fs, fs://, or fs://PATH" in captured.err
         assert self._no_run_recorded(capsys)
 
+    @pytest.mark.parametrize("scale", ["abc", "nan", "inf", "0", "-1"])
+    def test_run_rejects_a_bad_scale_up_front(self, scale, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", scale)
+        assert main(["run", "fig3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: REPRO_SCALE must be")
+        assert self._no_run_recorded(capsys)
+
     def test_cache_rejects_a_bad_store_spec(self, capsys):
         assert main(["cache", "stats", "--store", "s3://bucket"]) == 2
         assert "error: unknown store backend 's3'" in capsys.readouterr().err

@@ -38,6 +38,14 @@ class TestScaledAccesses:
         with pytest.raises(ExperimentError):
             scaled_accesses(100_000)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, scale, monkeypatch):
+        # float() accepts these; int() of the product would then raise a
+        # ValueError or OverflowError instead of a usage error.
+        monkeypatch.setenv("REPRO_SCALE", scale)
+        with pytest.raises(ExperimentError, match="finite"):
+            scaled_accesses(100_000)
+
 
 class TestRenderTable:
     def test_empty(self):
