@@ -1,4 +1,4 @@
-"""Cache substrate: lines, sets, set-associative caches, hierarchies."""
+"""Cache substrate: lines, sets and set-associative caches."""
 
 from repro.cache.cache import (
     LEVEL_L1,
@@ -6,9 +6,7 @@ from repro.cache.cache import (
     LEVEL_LLC,
     LEVEL_MEMORY,
     LastLevelCache,
-    PrivateHierarchy,
     SetAssociativeCache,
-    make_private_cache,
 )
 from repro.cache.line import NO_PC_SLOT, CacheLine
 from repro.cache.set_ import CacheSet
@@ -22,7 +20,5 @@ __all__ = [
     "LEVEL_MEMORY",
     "LastLevelCache",
     "NO_PC_SLOT",
-    "PrivateHierarchy",
     "SetAssociativeCache",
-    "make_private_cache",
 ]

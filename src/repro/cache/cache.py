@@ -40,13 +40,6 @@ class LastLevelCache(ABC):
         memory latency instead).
         """
 
-    def end_of_interval(self) -> None:
-        """Hook called periodically by the engine (epoch boundaries).
-
-        Organizations with epoch behaviour (NUcache, UCP) override this;
-        the default does nothing.
-        """
-
     def occupancy_by_core(self) -> dict:
         """Lines currently held per core (for occupancy reports)."""
         return {}
@@ -184,11 +177,6 @@ class SetAssociativeCache(LastLevelCache):
         cache_set = self.sets[block_addr & self._set_mask]
         return cache_set.find(block_addr >> self._index_bits) >= 0
 
-    def invalidate(self, block_addr: int) -> bool:
-        """Drop a block if present; returns whether it was present."""
-        cache_set = self.sets[block_addr & self._set_mask]
-        return cache_set.invalidate(block_addr >> self._index_bits)
-
     def set_of(self, block_addr: int) -> CacheSet:
         """The set a block address maps to (for tests and monitors)."""
         return self.sets[block_addr & self._set_mask]
@@ -216,42 +204,9 @@ class SetAssociativeCache(LastLevelCache):
         return sum(cache_set.occupancy for cache_set in self.sets)
 
 
-def make_private_cache(geometry: CacheGeometry, policy_factory: PolicyFactory,
-                       name: str) -> SetAssociativeCache:
-    """Convenience constructor for private L1/L2 caches (always LRU-family)."""
-    return SetAssociativeCache(geometry, policy_factory, name)
-
-
 #: Result of a hierarchy access: the level that serviced it.
 LEVEL_L1 = "l1"
 LEVEL_L2 = "l2"
 LEVEL_LLC = "llc"
 LEVEL_MEMORY = "memory"
 
-
-class PrivateHierarchy:
-    """A core's private L1+L2 in front of a shared LLC.
-
-    Non-inclusive, no back-invalidation: each level is looked up and
-    filled independently, which matches the paper's use of the LLC as a
-    victim of the private levels' filtering without modelling coherence.
-    """
-
-    __slots__ = ("l1", "l2", "core_id")
-
-    def __init__(self, l1: SetAssociativeCache, l2: SetAssociativeCache, core_id: int) -> None:
-        self.l1 = l1
-        self.l2 = l2
-        self.core_id = core_id
-
-    def access(self, block_addr: int, pc: int, is_write: bool,
-               llc: LastLevelCache) -> str:
-        """Walk the hierarchy; returns the servicing level constant."""
-        core = self.core_id
-        if self.l1.access(block_addr, core, pc, is_write):
-            return LEVEL_L1
-        if self.l2.access(block_addr, core, pc, is_write):
-            return LEVEL_L2
-        if llc.access(block_addr, core, pc, is_write):
-            return LEVEL_LLC
-        return LEVEL_MEMORY

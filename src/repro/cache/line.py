@@ -21,38 +21,25 @@ class CacheLine:
         tag: tag of the held line (meaningless when invalid).
         dirty: set by write hits/fills; drives writeback counting.
         core: id of the core whose access filled the line.
-        pc: program counter of the filling access (full value).
-        pc_slot: index of the filling PC in the NUcache candidate table,
-            or :data:`NO_PC_SLOT`.  Plain caches leave it untouched.
     """
 
-    __slots__ = ("valid", "tag", "dirty", "core", "pc", "pc_slot")
+    __slots__ = ("valid", "tag", "dirty", "core")
 
     def __init__(self) -> None:
         self.valid = False
         self.tag = 0
         self.dirty = False
         self.core = 0
-        self.pc = 0
-        self.pc_slot = NO_PC_SLOT
 
-    def fill(self, tag: int, core: int, pc: int, dirty: bool) -> None:
+    def fill(self, tag: int, core: int, dirty: bool) -> None:
         """Install a new line into this slot."""
         self.valid = True
         self.tag = tag
         self.dirty = dirty
         self.core = core
-        self.pc = pc
-        self.pc_slot = NO_PC_SLOT
-
-    def invalidate(self) -> None:
-        """Drop the held line."""
-        self.valid = False
-        self.dirty = False
-        self.pc_slot = NO_PC_SLOT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.valid:
             return "<line invalid>"
         flags = "D" if self.dirty else "-"
-        return f"<line tag={self.tag:#x} core={self.core} pc={self.pc:#x} {flags}>"
+        return f"<line tag={self.tag:#x} core={self.core} {flags}>"

@@ -8,8 +8,7 @@ A policy instance manages the replacement state of *one* cache set (its
 * :meth:`ReplacementPolicy.victim` when the set is full and a fill needs
   a slot (the returned way is then overwritten),
 * :meth:`ReplacementPolicy.insert` after every fill (whether the slot came
-  from :meth:`victim` or was an invalid way),
-* :meth:`ReplacementPolicy.invalidate` when a way is explicitly dropped.
+  from :meth:`victim` or was an invalid way).
 
 Policies that need cache-global state (set dueling, PIPP allocations)
 receive a shared state object at construction; the per-set instance holds
@@ -56,14 +55,6 @@ class ReplacementPolicy(ABC):
         """
         return False
 
-    def invalidate(self, way: int) -> None:
-        """Record that ``way`` was explicitly invalidated.
-
-        The default treats the way as the next victim candidate by doing
-        nothing; stack-based policies override this to remove the way
-        from their recency order.
-        """
-
 
 #: Factory signature: ``factory(ways, set_index) -> ReplacementPolicy``.
 #: The set index lets set-dueling policies assign leader/follower roles.
@@ -103,8 +94,3 @@ class RecencyStackPolicy(ReplacementPolicy):
         """Move ``way`` to ``position`` in the stack (0 = MRU)."""
         self.stack.remove(way)
         self.stack.insert(position, way)
-
-    def invalidate(self, way: int) -> None:
-        """Demote an invalidated way straight to LRU."""
-        self.stack.remove(way)
-        self.stack.append(way)

@@ -93,9 +93,6 @@ class NRUPolicy(ReplacementPolicy):
         # _mark guarantees at least one clear bit, but stay total anyway.
         return 0
 
-    def invalidate(self, way: int) -> None:
-        self._referenced[way] = False
-
 
 class TreePLRUPolicy(ReplacementPolicy):
     """Tree pseudo-LRU over a power-of-two number of ways.

@@ -119,12 +119,6 @@ class SDBPPolicy(RecencyStackPolicy):
                 return way
         return self.stack[-1]
 
-    def invalidate(self, way: int) -> None:
-        super().invalidate(way)
-        self._occupied[way] = False
-        self._signature[way] = -1
-        self._predicted_dead[way] = False
-
 
 def sdbp_factory(table_entries: int = DEFAULT_TABLE_ENTRIES,
                  dead_threshold: int = DEFAULT_DEAD_THRESHOLD) -> PolicyFactory:

@@ -56,9 +56,6 @@ class SRRIPPolicy(ReplacementPolicy):
     def _insertion_rrpv(self) -> int:
         return self.max_rrpv - 1
 
-    def invalidate(self, way: int) -> None:
-        self.rrpv[way] = self.max_rrpv
-
 
 class BRRIPPolicy(SRRIPPolicy):
     """Bimodal RRIP: distant insertion with a rare long insertion."""

@@ -106,14 +106,6 @@ class SHiPPolicy(SRRIPPolicy):
             return False
         return self.shct.value(self.shct.index_of(core, pc)) == 0
 
-    def invalidate(self, way: int) -> None:
-        super().invalidate(way)
-        if self._occupied[way] and not self._reused[way] and self._signature[way] >= 0:
-            self.shct.train_dead(self._signature[way])
-        self._occupied[way] = False
-        self._signature[way] = -1
-        self._reused[way] = False
-
 
 def ship_factory(bypass: bool = False, shct_entries: int = DEFAULT_SHCT_ENTRIES,
                  rrpv_bits: int = 2) -> PolicyFactory:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterator, List, Optional, Tuple
 
-from repro.cache.line import NO_PC_SLOT, CacheLine
+from repro.cache.line import CacheLine
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.basic import LRUPolicy
 
@@ -45,8 +45,6 @@ class CacheSet:
         "_tags",
         "_dirty",
         "_cores",
-        "_pcs",
-        "_pc_slots",
     )
 
     def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
@@ -62,8 +60,6 @@ class CacheSet:
         self._tags = [0] * ways
         self._dirty = [False] * ways
         self._cores = [0] * ways
-        self._pcs = [0] * ways
-        self._pc_slots = [NO_PC_SLOT] * ways
 
     def find(self, tag: int) -> int:
         """Way currently holding ``tag``, or -1."""
@@ -108,13 +104,6 @@ class CacheSet:
         Free ways are filled without consulting ``policy.victim``, but
         ``policy.insert`` runs after *every* fill — free-way or victim —
         which is the contract every policy's state machine relies on.
-        That contract is sound across explicit invalidation because
-        ``invalidate`` calls ``policy.invalidate(way)`` before the way
-        enters the free list, and every stateful policy (RRIP's rrpv,
-        SHiP's occupied/signature/reused, SDBP's predictions, the
-        recency stacks) resets its per-way state there — so a later
-        free-way fill's ``insert`` sees a way indistinguishable from a
-        never-used one.  ``tests/test_invalidate_refill.py`` pins this.
         The LRU branches have a literal copy in
         ``CoreModel.finish_pass``'s private L1/L2 walk, which a change
         here must follow.
@@ -150,37 +139,13 @@ class CacheSet:
         tags[way] = tag
         self._dirty[way] = is_write
         self._cores[way] = core
-        self._pcs[way] = pc
-        self._pc_slots[way] = NO_PC_SLOT
         self._tag_to_way[tag] = way
         return evicted
-
-    def invalidate(self, tag: int) -> bool:
-        """Drop ``tag`` from the set; returns whether it was present.
-
-        Order matters: ``policy.invalidate(way)`` runs before the way
-        joins the free list, so the policy's per-way state is clean by
-        the time a future free-way fill reuses the slot (see
-        :meth:`allocate`).
-        """
-        way = self._tag_to_way.pop(tag, None)
-        if way is None:
-            return False
-        self._valid[way] = False
-        self._dirty[way] = False
-        self._pc_slots[way] = NO_PC_SLOT
-        self.policy.invalidate(way)
-        self._free_ways.append(way)
-        return True
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines in the set."""
         return len(self._tag_to_way)
-
-    def core_of(self, way: int) -> int:
-        """Core that filled ``way``."""
-        return self._cores[way]
 
     def valid_cores(self) -> Iterator[int]:
         """Iterate the filling core of each valid line, in way order."""
@@ -193,8 +158,6 @@ class CacheSet:
         line.tag = self._tags[way]
         line.dirty = self._dirty[way]
         line.core = self._cores[way]
-        line.pc = self._pcs[way]
-        line.pc_slot = self._pc_slots[way]
         return line
 
     @property

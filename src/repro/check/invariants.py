@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.set_ import CacheSet
@@ -52,18 +52,18 @@ CHECK_ENV_VAR = "REPRO_CHECK"
 #: No checking (the default; the engine fast loop stays untouched).
 MODE_OFF = "off"
 #: Check at NUcache epoch boundaries (or every
-#: :data:`CHECK_INTERVAL_STEPS` steps for epoch-less organizations) and
-#: once at the end of the run.
+#: :data:`CHECK_INTERVAL_ACCESSES` LLC accesses for epoch-less
+#: organizations) and once at the end of the run.
 MODE_EPOCH = "epoch"
-#: Check after every engine step (slow; for debugging and the fuzzer).
+#: Check after every LLC access (slow; for debugging and the fuzzer).
 MODE_ACCESS = "access"
 
 #: All recognized ``REPRO_CHECK`` values.
 MODES = (MODE_OFF, MODE_EPOCH, MODE_ACCESS)
 
-#: Fallback cadence (engine steps) for ``epoch`` mode when the LLC has
-#: no epoch controller (plain policies, UCP, PIPP).
-CHECK_INTERVAL_STEPS = 4096
+#: Cadence (LLC accesses) of ``epoch`` mode when the LLC has no epoch
+#: controller (plain policies, UCP, PIPP).
+CHECK_INTERVAL_ACCESSES = 1024
 
 #: Ceiling on how many sets a violation snapshot serializes.
 SNAPSHOT_MAX_SETS = 8
@@ -630,22 +630,27 @@ def raise_violation(llc, violations: Sequence[str], context: str = "") -> None:
 class EngineChecker:
     """Runs the sanitizer over an engine run's LLC at the configured cadence.
 
-    ``access`` mode checks after every engine step; ``epoch`` mode at
-    NUcache selection-epoch boundaries (:meth:`at_epoch`, called from
-    the controller's rotation hook on every engine path), or every
-    :data:`CHECK_INTERVAL_STEPS` steps for epoch-less organizations.
-    Both check once more when the run finishes.  Checks are strictly
-    read-only, so a checked run's simulated numbers are byte-identical
-    to an unchecked one — the only difference is that corruption raises
-    :class:`InvariantViolation` instead of skewing results.
+    The cadence counts LLC accesses, the only events that change what a
+    check reads.  ``access`` mode checks after every LLC access;
+    ``epoch`` mode at NUcache selection-epoch boundaries
+    (:meth:`at_epoch`, called from the controller's rotation hook on
+    every engine path), or every :data:`CHECK_INTERVAL_ACCESSES` LLC
+    accesses on an LLC without an epoch controller.  A cadence that
+    counts accesses runs inside :meth:`counting`'s wrapper around the
+    LLC's ``access``.  Both modes check once more when the run finishes.
+    Checks are strictly read-only, so a checked run's simulated numbers
+    are byte-identical to an unchecked one — the only difference is that
+    corruption raises :class:`InvariantViolation` instead of skewing
+    results.
     """
 
     def __init__(self, llc, mode: str) -> None:
         self.llc = llc
         self.mode = mode
         self.checks_run = 0
-        #: Whether the cadence counts engine steps (:meth:`after_step`).
-        self.needs_steps = (
+        #: Whether the cadence counts LLC accesses (:meth:`counting`)
+        #: rather than selection epochs (:meth:`at_epoch`).
+        self.counts_accesses = (
             mode == MODE_ACCESS or getattr(llc, "controller", None) is None
         )
 
@@ -655,14 +660,34 @@ class EngineChecker:
         if violations:
             raise_violation(self.llc, violations, context)
 
-    def after_step(self, steps: int) -> None:
-        """Observe one engine step; check when the cadence says so."""
-        if self.mode == MODE_ACCESS or steps % CHECK_INTERVAL_STEPS == 0:
-            self._check(f"engine step {steps}")
+    def counting(self, access: Callable[[int, int, int, bool], bool]):
+        """``access`` wrapped to check after the LLC accesses the cadence names.
+
+        Every one in ``access`` mode, else every
+        :data:`CHECK_INTERVAL_ACCESSES`-th.  A failed check names the
+        access it followed (``LLC access 2048``).
+        """
+        interval = 1 if self.mode == MODE_ACCESS else CHECK_INTERVAL_ACCESSES
+        calls = 0
+
+        def checked_access(block_addr: int, core: int, pc: int, is_write: bool) -> bool:
+            nonlocal calls
+            hit = access(block_addr, core, pc, is_write)
+            calls += 1
+            if not calls % interval:
+                self._check(f"LLC access {calls}")
+            return hit
+
+        return checked_access
 
     def at_epoch(self, epoch: int) -> None:
-        """Check at the boundary that completed selection epoch ``epoch``."""
-        self._check(f"epoch {epoch} boundary")
+        """Check at the boundary that completed selection epoch ``epoch``.
+
+        A cadence that counts LLC accesses does not check here: the
+        access that closed the epoch is checked after it returns.
+        """
+        if not self.counts_accesses:
+            self._check(f"epoch {epoch} boundary")
 
     def finish(self) -> None:
         """Terminal check when the engine run ends."""

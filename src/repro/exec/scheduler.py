@@ -577,10 +577,14 @@ class Scheduler:
             while pending and not self._interrupted:
                 round_no += 1
                 use_pool = self.jobs > 1 and len(pending) > 1
+                attempts = sum(state.attempts for state in pending)
                 completed, retry, failed, interrupted = (
                     self._run_pool(pending) if use_pool
                     else self._run_inline(pending)
                 )
+                # Each charged attempt sent its job to retry or to failed;
+                # the jobs a broken pool requeued were charged nothing.
+                charged = sum(state.attempts for state in pending) - attempts
                 for state, result in completed:
                     self._store_put(state, result, report)
                     settle(state, result, cached=False)
@@ -592,8 +596,8 @@ class Scheduler:
                     break
                 if retry:
                     delay = self._backoff_delay(round_no, retry)
+                    report.retried += charged - len(failed)
                     for state in retry:
-                        report.retried += 1
                         self._emit(
                             "retry",
                             state,

@@ -314,9 +314,6 @@ class NUCache(LastLevelCache):
             controller.rotate(self._remap_slots)
         return hit
 
-    def end_of_interval(self) -> None:
-        """Epochs are miss-driven; nothing to do on engine intervals."""
-
     def occupancy_by_core(self) -> dict:
         counts: dict = {}
         for nu_set in self.sets:

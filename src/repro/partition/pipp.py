@@ -108,7 +108,7 @@ class PIPPCache(LastLevelCache):
             return True
 
         self.stats.record(core, hit=False)
-        self._fill(pipp_set, tag, core, pc, is_write)
+        self._fill(pipp_set, tag, core, is_write)
         return False
 
     def repartition(self) -> List[int]:
@@ -147,7 +147,7 @@ class PIPPCache(LastLevelCache):
                 pipp_set.stack[position],
             )
 
-    def _fill(self, pipp_set: _PIPPSet, tag: int, core: int, pc: int, dirty: bool) -> None:
+    def _fill(self, pipp_set: _PIPPSet, tag: int, core: int, dirty: bool) -> None:
         if pipp_set.free_ways:
             way = pipp_set.free_ways.pop()
         else:
@@ -157,7 +157,7 @@ class PIPPCache(LastLevelCache):
             self.stats.total.evictions += 1
             if victim.dirty:
                 self.stats.total.writebacks += 1
-        pipp_set.lines[way].fill(tag, core, pc, dirty)
+        pipp_set.lines[way].fill(tag, core, dirty)
         pipp_set.tag_to_way[tag] = way
         allocation = (
             STREAM_ALLOCATION

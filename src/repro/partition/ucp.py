@@ -97,7 +97,7 @@ class UCPCache(LastLevelCache):
             return True
 
         self.stats.record(core, hit=False)
-        self._fill(ucp_set, tag, core, pc, is_write)
+        self._fill(ucp_set, tag, core, is_write)
         return False
 
     def repartition(self) -> List[int]:
@@ -114,7 +114,7 @@ class UCPCache(LastLevelCache):
     # Internals
     # ------------------------------------------------------------------
 
-    def _fill(self, ucp_set: _UCPSet, tag: int, core: int, pc: int, dirty: bool) -> None:
+    def _fill(self, ucp_set: _UCPSet, tag: int, core: int, dirty: bool) -> None:
         if ucp_set.free_ways:
             way = ucp_set.free_ways.pop()
         else:
@@ -126,7 +126,7 @@ class UCPCache(LastLevelCache):
             self.stats.total.evictions += 1
             if victim.dirty:
                 self.stats.total.writebacks += 1
-        ucp_set.lines[way].fill(tag, core, pc, dirty)
+        ucp_set.lines[way].fill(tag, core, dirty)
         ucp_set.tag_to_way[tag] = way
         ucp_set.owner_count[core] += 1
         ucp_set.stack.insert(0, way)

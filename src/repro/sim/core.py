@@ -10,17 +10,15 @@ see DESIGN.md's substitution table.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cache.cache import (
     LEVEL_L1,
     LEVEL_L2,
     LEVEL_LLC,
     LEVEL_MEMORY,
-    LastLevelCache,
     SetAssociativeCache,
 )
-from repro.cache.line import NO_PC_SLOT
 from repro.cache.replacement.basic import lru_factory
 from repro.common.addr import log2_exact
 from repro.common.config import LatencyConfig, SystemConfig
@@ -28,6 +26,11 @@ from repro.common.stats import AccessStats
 from repro.prefetch.prefetchers import PREFETCH_PC, Prefetcher
 from repro.sim.memory import FixedLatencyMemory
 from repro.workloads.trace import Trace
+
+#: What a core calls per LLC access, ``access(block, core, pc, is_write)``
+#: returning whether it hit: the LLC's own ``access``, or an invariant
+#: checker's counting wrapper around it (:class:`repro.sim.engine.RunWatch`).
+LLCAccess = Callable[[int, int, int, bool], bool]
 
 
 class CoreModel:
@@ -104,20 +107,21 @@ class CoreModel:
         """Instructions represented by the measured window of one pass."""
         return self.measured_accesses * (self.gap + 1)
 
-    def step(self, llc: LastLevelCache, memory: FixedLatencyMemory) -> str:
+    def step(self, access: LLCAccess, memory: FixedLatencyMemory) -> str:
         """Execute the next access; returns the servicing level.
 
-        Advances the local clock by the compute gap plus the access
-        latency.  The last access of a pass sets
-        :attr:`completion_clock` and wraps the cursor.  The engine never
-        steps a finished core again (see DESIGN.md's methodology
-        deviations); a direct caller that does replays the trace with
-        the statistics frozen at the first pass.
+        ``access`` is the only thing called on the LLC: once for an
+        access that misses the L2, and once per prefetch fill.  Advances
+        the local clock by the compute gap plus the access latency.  The
+        last access of a pass sets :attr:`completion_clock` and wraps the
+        cursor.  The engine never steps a finished core again (see
+        DESIGN.md's methodology deviations); a direct caller that does
+        replays the trace with the statistics frozen at the first pass.
 
         This is the reference body of one access.  The engine's heap
-        loop and its per-step-checked loop call it; a lone pending core
-        runs :meth:`finish_pass`, a one-frame copy of this body repeated
-        to the end of the pass, which a change here must follow.
+        loop calls it; a lone pending core runs :meth:`finish_pass`, a
+        one-frame copy of this body repeated to the end of the pass,
+        which a change here must follow.
         """
         index = self.cursor
         blocks = self._blocks
@@ -134,7 +138,7 @@ class CoreModel:
         elif self.l2.access(block, core, pc, is_write):
             level = LEVEL_L2
             latency = self._lat_l2
-        elif llc.access(block, core, pc, is_write):
+        elif access(block, core, pc, is_write):
             level = LEVEL_LLC
             latency = self._lat_llc
         else:
@@ -142,7 +146,7 @@ class CoreModel:
             latency = memory.service(self.clock)
 
         if self.prefetcher is not None and level != LEVEL_L1:
-            self._issue_prefetches(block, pc, level == LEVEL_MEMORY, llc)
+            self._issue_prefetches(block, pc, level == LEVEL_MEMORY, access)
 
         self.clock += self.gap + latency
         if self.completion_clock < 0 and index >= self.warmup_accesses:
@@ -158,7 +162,7 @@ class CoreModel:
                 self.completion_clock = self.clock
         return level
 
-    def finish_pass(self, llc: LastLevelCache, memory: FixedLatencyMemory) -> None:
+    def finish_pass(self, access: LLCAccess, memory: FixedLatencyMemory) -> None:
         """Run the rest of the first pass in one frame.
 
         The same state changes as calling :meth:`step` until
@@ -172,9 +176,9 @@ class CoreModel:
         <repro.cache.set_.CacheSet.allocate>` with
         :meth:`SetAssociativeCache.access`'s stats bookkeeping; the
         level counts and the private caches' stats and fill counts are
-        written back before it returns.  The LLC, the memory model and
-        the prefetcher are called as :meth:`step` calls them, so nothing
-        they can observe mid-run (an epoch hook checks only the LLC)
+        written back before it returns.  ``access``, the memory model
+        and the prefetcher are called as :meth:`step` calls them, so
+        nothing they can observe mid-run (a check reads only the LLC)
         differs.  A finished core is left as it is.
         """
         if self.completion_clock >= 0:
@@ -192,7 +196,6 @@ class CoreModel:
         l2_sets = l2.build_sets()
         l2_mask = l2._set_mask
         l2_bits = l2._index_bits
-        llc_access = llc.access
         service = memory.service
         prefetch = None if self.prefetcher is None else self._issue_prefetches
         lat_l1 = self._lat_l1
@@ -244,8 +247,6 @@ class CoreModel:
                 tags[way] = tag
                 cache_set._dirty[way] = is_write
                 cache_set._cores[way] = core
-                cache_set._pcs[way] = pc
-                cache_set._pc_slots[way] = NO_PC_SLOT
                 cache_set._tag_to_way[tag] = way
                 # L2: the same lookup, then the same fill on a miss.
                 cache_set = l2_sets[block & l2_mask]
@@ -279,10 +280,8 @@ class CoreModel:
                     tags[way] = tag
                     cache_set._dirty[way] = is_write
                     cache_set._cores[way] = core
-                    cache_set._pcs[way] = pc
-                    cache_set._pc_slots[way] = NO_PC_SLOT
                     cache_set._tag_to_way[tag] = way
-                    if llc_access(block, core, pc, is_write):
+                    if access(block, core, pc, is_write):
                         n_llc += 1
                         latency = lat_llc
                         was_miss = False
@@ -291,7 +290,7 @@ class CoreModel:
                         latency = service(clock)
                         was_miss = True
                 if prefetch is not None:
-                    prefetch(block, pc, was_miss, llc)
+                    prefetch(block, pc, was_miss, access)
                 clock += gap + latency
             index += 1
             if index == warmup:
@@ -331,7 +330,7 @@ class CoreModel:
         return blocks
 
     def _issue_prefetches(self, block: int, pc: int, was_miss: bool,
-                          llc: LastLevelCache) -> None:
+                          access: LLCAccess) -> None:
         """Train the prefetcher and install its candidates.
 
         Prefetch fills go to the L2 and the shared LLC with the reserved
@@ -344,7 +343,7 @@ class CoreModel:
                 continue
             if not self.l2.probe(candidate):
                 self.l2.access(candidate, self.core_id, PREFETCH_PC, False)
-                llc.access(candidate, self.core_id, PREFETCH_PC, False)
+                access(candidate, self.core_id, PREFETCH_PC, False)
 
     # ------------------------------------------------------------------
     # Derived metrics for the measured pass

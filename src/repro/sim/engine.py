@@ -226,41 +226,30 @@ class MulticoreEngine:
         :class:`~repro.common.errors.InvariantViolation`.
         """
         with RunWatch(self) as watch:
-            self._run_loop(watch.step_checker)
+            self._run_loop(watch.access)
             watch.stage("loop")
             return watch.finish(self._collect(), "scalar")
 
-    def _run_loop(self, checker) -> None:
+    def _run_loop(self, access) -> None:
         """Step every pending core to the end of its first pass.
 
-        The schedule is ordered by ``(clock, core_id)``.  A per-step
-        ``checker`` gets the step count after every step of a ``min()``
-        scan over the pending cores.  Otherwise only the stepped core's
-        clock moves, so a heap keyed that way steps its root until the
-        root passes the next core's key: one heap operation per overtake
-        rather than a key call per core per access.  Both call
-        :meth:`CoreModel.step` once per access.  A lone pending core
-        (every single-core run; the tail of every multicore run) needs
-        no schedule at all: :meth:`CoreModel.finish_pass` runs the rest
-        of its pass in one frame.  The heap's root is overtaken every
-        1.2 accesses or so on the paper's mixes, too often for a frame
-        per turn to pay.
+        ``access`` is what every LLC access calls
+        (:attr:`RunWatch.access`).  The schedule is ordered by
+        ``(clock, core_id)``, and only the stepped core's clock moves,
+        so a heap keyed that way steps its root until the root passes
+        the next core's key: one heap operation per overtake rather than
+        a key call per core per access.  A lone pending core (every
+        single-core run; the tail of every multicore run) needs no
+        schedule at all: :meth:`CoreModel.finish_pass` runs the rest of
+        its pass in one frame.  The heap's root is overtaken every 1.2
+        accesses or so on the paper's mixes, too often for a frame per
+        turn to pay.
         """
-        cores = self.cores
-        llc = self.llc
         memory = self.memory
-        pending = [core for core in cores if not core.first_pass_done]
-        if checker is not None:
-            steps = 0
-            while pending:
-                runner = min(pending, key=lambda core: core.clock)
-                runner.step(llc, memory)
-                if runner.first_pass_done:
-                    pending = [core for core in cores if not core.first_pass_done]
-                steps += 1
-                checker.after_step(steps)
-            return
-        heap = [(core.clock, core.core_id, core) for core in pending]
+        heap = [
+            (core.clock, core.core_id, core)
+            for core in self.cores if not core.first_pass_done
+        ]
         heapify(heap)
         while len(heap) > 1:
             _clock, core_id, runner = heap[0]
@@ -268,15 +257,15 @@ class MulticoreEngine:
             # The root stays first while (clock, core_id) < the next key.
             limit = next_clock if core_id < next_id else next_clock - 1
             step = runner.step
-            step(llc, memory)
+            step(access, memory)
             while runner.clock <= limit and runner.completion_clock < 0:
-                step(llc, memory)
+                step(access, memory)
             if runner.completion_clock < 0:
                 heapreplace(heap, (runner.clock, core_id, runner))
             else:
                 heappop(heap)
         if heap:
-            heap[0][2].finish_pass(llc, memory)
+            heap[0][2].finish_pass(access, memory)
 
     def _collect(self) -> SimResult:
         core_results = [
@@ -317,32 +306,39 @@ class RunWatch:
     the finished cores and LLC), so tracing never moves a run to another
     path.  NUcache epochs reach the tracer and an epoch-mode checker
     through the controller's ``on_rotate`` hook, held for the run's
-    length.  A checker whose cadence counts engine steps is
-    :attr:`step_checker`, which only the scalar loop serves.
+    length.  Every loop that drives the LLC object calls
+    :attr:`access` once per LLC access; a checker whose cadence counts
+    LLC accesses wraps it.
     """
 
     def __init__(self, engine: "MulticoreEngine") -> None:
         from repro.check.invariants import engine_checker
         from repro.obs.trace import active_tracer
 
+        llc = engine.llc
         self.engine = engine
         self.tracer = active_tracer()
-        self.checker = engine_checker(engine.llc)
-        counts_steps = self.checker is not None and self.checker.needs_steps
-        #: The checker when its cadence counts engine steps, else ``None``.
-        self.step_checker = self.checker if counts_steps else None
-        self._epoch_checker = None if counts_steps else self.checker
+        self.checker = engine_checker(llc)
+        #: Whether a checker counts LLC accesses through :attr:`access`:
+        #: the paths that resolve the LLC without calling it (the
+        #: plain-LRU solve, NUcache's replay frame) then step aside.
+        self.counts_accesses = self.checker is not None and self.checker.counts_accesses
+        #: What the run calls once per LLC access: the LLC's own
+        #: ``access``, or the checker's counting wrapper around it.
+        self.access = (
+            self.checker.counting(llc.access) if self.counts_accesses else llc.access
+        )
         self.span = None
         self._controller = None
         if self.tracer is not None:
             self.span = self.tracer.span(
-                "sim.run", policy=engine.llc.name, cores=len(engine.cores),
+                "sim.run", policy=llc.name, cores=len(engine.cores),
                 accesses_per_core=engine.cores[0].trace_length,
             )
             self._stage_started = self.span.elapsed
-        controller = getattr(engine.llc, "controller", None)
+        controller = getattr(llc, "controller", None)
         if controller is not None and (
-            self.tracer is not None or self._epoch_checker is not None
+            self.tracer is not None or self.checker is not None
         ):
             controller.on_rotate = self._on_rotate
             self._controller = controller
@@ -363,8 +359,8 @@ class RunWatch:
                 "nucache.epoch", epoch=epoch,
                 selected=len(controller.selected_slots),
             )
-        if self._epoch_checker is not None:
-            self._epoch_checker.at_epoch(epoch)
+        if self.checker is not None:
+            self.checker.at_epoch(epoch)
 
     def stage(self, name: str, **fields: object) -> None:
         """Close stage ``name``: a ``sim.phase`` event timing it."""

@@ -49,11 +49,14 @@ Equivalence strategy (see ``docs/kernels.md`` for the full argument)
   accesses drive the real LLC object one at a time in the exact global
   order the scalar engine would produce, ordered by the same
   ``(clock, core_id)`` heap as the scalar engine's fast loop.
-* Prefetchers, resumed cores and a check cadence that counts engine
-  steps (``REPRO_CHECK=access``, or ``epoch`` without an epoch
-  controller) fall back to the scalar loop entirely;
-  :attr:`VectorEngine.fallback_reason` records why.  Tracing and epoch
-  checks keep the path (:class:`~repro.sim.engine.RunWatch`).
+* Prefetchers and resumed cores fall back to the scalar loop entirely;
+  :attr:`VectorEngine.fallback_reason` records why.  Tracing and
+  invariant checks keep the path (:class:`~repro.sim.engine.RunWatch`),
+  with one exception: a check cadence that counts LLC accesses
+  (``REPRO_CHECK=access``, or ``epoch`` on an LLC without an epoch
+  controller) must see every access, so a plain-LRU run replays on the
+  hybrid path instead of solving (``hybrid:checker``), and NUcache's
+  replay takes the generic loop instead of its frame.
 """
 
 from __future__ import annotations
@@ -468,15 +471,13 @@ class VectorEngine(MulticoreEngine):
         """Run to completion; see the scalar engine for the contract."""
         with RunWatch(self) as watch:
             reason = None
-            if watch.step_checker is not None:
-                reason = "scalar:checker"
-            elif any(core.prefetcher is not None for core in self.cores):
+            if any(core.prefetcher is not None for core in self.cores):
                 reason = "scalar:prefetchers"
             elif any(core.cursor or core.passes or core.clock for core in self.cores):
                 reason = "scalar:resumed_cores"
             if reason is not None:
                 self.fallback_reason = reason
-                self._run_loop(watch.step_checker)
+                self._run_loop(watch.access)
                 watch.stage("loop")
                 return watch.finish(self._collect(), reason)
             try:
@@ -513,7 +514,15 @@ class VectorEngine(MulticoreEngine):
 
         llc = self.llc
         bounds = np.concatenate(([0], np.cumsum(lengths)))
-        if _lru_batchable(llc, self.memory):
+        if not _lru_batchable(llc, self.memory):
+            self.fallback_reason = (
+                "hybrid:memory_model" if type(llc) is SetAssociativeCache
+                and llc._plain_lru else f"hybrid:llc_policy:{llc.name}"
+            )
+        elif watch.counts_accesses:
+            # The solve calls no ``access`` for the checker to count.
+            self.fallback_reason = "hybrid:checker"
+        else:
             occupancy, iterations = self._resolve_llc_vector(
                 all_blocks, core_of, llc_idx, levels, bounds
             )
@@ -522,12 +531,9 @@ class VectorEngine(MulticoreEngine):
                 self.fallback_reason = None
                 return self._collect_from_levels(levels, bounds, occupancy)
             self.fallback_reason = "hybrid:fixed_point_not_converged"
-        else:
-            self.fallback_reason = (
-                "hybrid:memory_model" if type(llc) is SetAssociativeCache
-                and llc._plain_lru else f"hybrid:llc_policy:{llc.name}"
-            )
-        latencies = self._resolve_llc_hybrid(all_blocks, llc_idx, levels, bounds)
+        latencies = self._resolve_llc_hybrid(
+            all_blocks, llc_idx, levels, bounds, watch
+        )
         watch.stage("replay", accesses=int(llc_idx.shape[0]))
         return self._collect_from_levels(
             levels, bounds, llc.occupancy_by_core(), extra=self._llc_extra(),
@@ -649,6 +655,7 @@ class VectorEngine(MulticoreEngine):
         llc_idx: np.ndarray,
         levels: np.ndarray,
         bounds: np.ndarray,
+        watch: RunWatch,
     ) -> np.ndarray:
         """Drive the real LLC object in exact global order.
 
@@ -675,11 +682,11 @@ class VectorEngine(MulticoreEngine):
         (``service(clock)``), and the miss latencies go to an
         ``array('q')``.  A plain :class:`~repro.nucache.NUCache` over
         fixed-latency memory replays in one frame
-        (:func:`_replay_nucache`); every other LLC is called through
-        ``llc.access`` (:func:`_replay_llc`).  Both make the same LLC
-        calls in the same order, and epoch rotations, with the
-        controller's ``on_rotate`` hook, fire between the same two
-        accesses as in a scalar run.
+        (:func:`_replay_nucache`) unless a checker counts LLC accesses;
+        every other run calls ``watch.access`` once per access
+        (:func:`_replay_llc`).  Both make the same LLC calls in the same
+        order, and epoch rotations, with the controller's ``on_rotate``
+        hook, fire between the same two accesses as in a scalar run.
         """
         # The kernel is done: release its scratch before the replay's
         # lists are built.  Those lists set the run's peak memory, so
@@ -712,11 +719,11 @@ class VectorEngine(MulticoreEngine):
         lat_mem = memory.latency
         fixed = type(memory) is FixedLatencyMemory
         lats = None if fixed else array("q", bytes(8 * n_llc))
-        if fixed and type(llc) is NUCache:
+        if fixed and type(llc) is NUCache and not watch.counts_accesses:
             _replay_nucache(llc, schedule, stream, lat_llc, lat_mem)
         else:
             _replay_llc(
-                llc.access, None if fixed else memory.service, schedule, stream,
+                watch.access, None if fixed else memory.service, schedule, stream,
                 lats, lat_llc, lat_mem,
             )
         if fixed:

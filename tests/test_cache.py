@@ -1,20 +1,16 @@
-"""Tests for CacheLine, CacheSet, SetAssociativeCache and the hierarchy."""
+"""Tests for CacheLine, CacheSet and SetAssociativeCache."""
 
 from __future__ import annotations
+
+from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import (
-    LEVEL_L1,
-    LEVEL_L2,
-    LEVEL_LLC,
-    LEVEL_MEMORY,
-    PrivateHierarchy,
-    SetAssociativeCache,
-)
-from repro.cache.line import NO_PC_SLOT, CacheLine
+from repro.cache.cache import SetAssociativeCache
+from repro.cache.line import CacheLine
+from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.basic import LRUPolicy, lru_factory
 from repro.cache.set_ import CacheSet
 from repro.common.config import CacheGeometry
@@ -25,21 +21,13 @@ from conftest import ReferenceLRUCache
 class TestCacheLine:
     def test_starts_invalid(self):
         line = CacheLine()
-        assert not line.valid
-        assert line.pc_slot == NO_PC_SLOT
+        assert not line.valid and not line.dirty
 
     def test_fill(self):
         line = CacheLine()
-        line.fill(tag=7, core=2, pc=0x400, dirty=True)
+        line.fill(tag=7, core=2, dirty=True)
         assert line.valid and line.dirty
-        assert (line.tag, line.core, line.pc) == (7, 2, 0x400)
-        assert line.pc_slot == NO_PC_SLOT
-
-    def test_invalidate_clears(self):
-        line = CacheLine()
-        line.fill(tag=7, core=0, pc=0, dirty=True)
-        line.invalidate()
-        assert not line.valid and not line.dirty
+        assert (line.tag, line.core) == (7, 2)
 
 
 class TestCacheSet:
@@ -79,19 +67,55 @@ class TestCacheSet:
         assert cache_set.allocate(2, 0, 0, False) is None
         assert cache_set.allocate(3, 0, 0, False) == (1, True)
 
-    def test_invalidate(self):
-        cache_set = self._set(2)
-        cache_set.allocate(1, 0, 0, False)
-        assert cache_set.invalidate(1)
-        assert cache_set.find(1) == -1
-        assert not cache_set.invalidate(1)
-        assert cache_set.occupancy == 0
-
     def test_valid_lines(self):
         cache_set = self._set(4)
         cache_set.allocate(1, 0, 0, False)
         cache_set.allocate(2, 0, 0, False)
         assert sorted(line.tag for line in cache_set.valid_lines()) == [1, 2]
+
+
+class SpyPolicy(ReplacementPolicy):
+    """Records the exact call sequence the set makes on the policy."""
+
+    name = "spy"
+
+    def __init__(self, ways: int) -> None:
+        super().__init__(ways)
+        self.calls: List[tuple] = []
+
+    def touch(self, way: int, core: int) -> None:
+        self.calls.append(("touch", way))
+
+    def victim(self) -> int:
+        self.calls.append(("victim", 0))
+        return 0
+
+    def insert(self, way: int, core: int, pc: int = 0) -> None:
+        self.calls.append(("insert", way))
+
+
+class TestFreeWayRefill:
+    """``insert`` fires on every fill; ``victim`` only on a full set."""
+
+    def test_insert_called_on_free_way_fill(self):
+        spy = SpyPolicy(2)
+        cache_set = CacheSet(2, spy)
+        cache_set.allocate(1, 0, 0, False)
+        filled = cache_set.find(1)
+        assert ("insert", filled) in spy.calls
+        assert ("victim", 0) not in spy.calls
+
+    def test_victim_not_consulted_while_free_ways_exist(self):
+        spy = SpyPolicy(2)
+        cache_set = CacheSet(2, spy)
+        cache_set.allocate(1, 0, 0, False)
+        spy.calls.clear()
+        cache_set.allocate(2, 0, 0, False)
+        assert spy.calls == [("insert", cache_set.find(2))]
+        # The set is full now: the next fill asks for a victim first.
+        spy.calls.clear()
+        cache_set.allocate(3, 0, 0, False)
+        assert spy.calls == [("victim", 0), ("insert", 0)]
 
 
 class TestSetAssociativeCache:
@@ -126,13 +150,6 @@ class TestSetAssociativeCache:
             assert cache.probe(0)
         cache.access(2, 0, 0, False)  # LRU is still 0
         assert not cache.probe(0)
-
-    def test_invalidate(self):
-        cache = self._cache()
-        cache.access(0, 0, 0, False)
-        assert cache.invalidate(0)
-        assert not cache.probe(0)
-        assert not cache.invalidate(0)
 
     def test_stats_per_core(self):
         cache = self._cache()
@@ -237,38 +254,3 @@ class TestDeferredLRUSets:
         assert not cache._plain_lru
         assert isinstance(cache.sets, list) and calls == list(range(8))
 
-
-class TestPrivateHierarchy:
-    def _parts(self):
-        l1 = SetAssociativeCache(
-            CacheGeometry(size_bytes=2 * 64, block_bytes=64, ways=1), lru_factory(), "l1"
-        )
-        l2 = SetAssociativeCache(
-            CacheGeometry(size_bytes=8 * 64, block_bytes=64, ways=2), lru_factory(), "l2"
-        )
-        llc = SetAssociativeCache(
-            CacheGeometry(size_bytes=32 * 64, block_bytes=64, ways=4), lru_factory(), "llc"
-        )
-        return PrivateHierarchy(l1, l2, core_id=0), llc
-
-    def test_first_access_goes_to_memory(self):
-        hierarchy, llc = self._parts()
-        assert hierarchy.access(0, 0, False, llc) == LEVEL_MEMORY
-
-    def test_second_access_hits_l1(self):
-        hierarchy, llc = self._parts()
-        hierarchy.access(0, 0, False, llc)
-        assert hierarchy.access(0, 0, False, llc) == LEVEL_L1
-
-    def test_l1_conflict_hits_l2(self):
-        hierarchy, llc = self._parts()
-        hierarchy.access(0, 0, False, llc)
-        hierarchy.access(2, 0, False, llc)  # same L1 set (2 sets), evicts 0 from L1
-        assert hierarchy.access(0, 0, False, llc) == LEVEL_L2
-
-    def test_llc_catches_l2_victims(self):
-        hierarchy, llc = self._parts()
-        # L2 has 4 sets x 2 ways; blocks 0,4,8 collide in L2 set 0.
-        for block in (0, 4, 8):
-            hierarchy.access(block, 0, False, llc)
-        assert hierarchy.access(0, 0, False, llc) == LEVEL_LLC

@@ -91,12 +91,6 @@ class TestSDBPPolicy:
         policy.touch(0, core=0)
         assert not predictor.predicts_dead(signature)
 
-    def test_invalidate_resets_way(self):
-        policy, _ = self._policy()
-        policy.insert(0, core=0, pc=0x10)
-        policy.invalidate(0)
-        assert not policy._predicted_dead[0]
-
 
 class TestSDBPCache:
     def test_stream_becomes_preferred_victim(self):

@@ -173,6 +173,9 @@ class TestChaosEquivalence:
         )
         chaotic = scheduler.run(batch)
         assert scheduler.last_report.failed == 0
+        # The crash charged one job; the rest of the broken pool's jobs
+        # were requeued uncharged and are not counted as retried.
+        assert scheduler.last_report.retried == 1
         assert [r.to_dict() for r in chaotic] == _clean_results(batch)
 
     def test_hang_trips_timeout_then_recovers_identically(self, store, tmp_path):

@@ -54,7 +54,7 @@ def _cache_state(cache):
     sets = [
         (
             list(s._valid), list(s._tags), list(s._dirty), list(s._cores),
-            list(s._pcs), list(s._pc_slots), list(s._free_ways),
+            list(s._free_ways),
             list(s._tag_to_way.items()), list(s.policy.stack),
         )
         for s in cache.sets
@@ -86,12 +86,12 @@ def _assert_lockstep(blocks, pcs, writes, warmup, resume, policy, prefetcher,
     reference = _system(blocks, pcs, writes, warmup, policy, prefetcher, memory_model, gap)
     for core, llc, memory in (fused, reference):
         for _ in range(resume):
-            core.step(llc, memory)
+            core.step(llc.access, memory)
     core, llc, memory = fused
-    core.finish_pass(llc, memory)
+    core.finish_pass(llc.access, memory)
     core, llc, memory = reference
     while not core.first_pass_done:
-        core.step(llc, memory)
+        core.step(llc.access, memory)
     assert _state(*fused) == _state(*reference)
     assert fused[0].first_pass_done and fused[0].cursor == 0
 
@@ -127,9 +127,9 @@ class TestLockstepGrid:
     def test_finished_core_is_left_alone(self):
         core, llc, memory = _system([1, 2, 3], [0, 0, 0], [False] * 3, 0,
                                     "lru", "none", "fixed", 0)
-        core.finish_pass(llc, memory)
+        core.finish_pass(llc.access, memory)
         before = _state(core, llc, memory)
-        core.finish_pass(llc, memory)
+        core.finish_pass(llc.access, memory)
         assert _state(core, llc, memory) == before
 
 
@@ -164,13 +164,13 @@ class TestEngineUsesFusedLoop:
         calls = {"step": 0, "finish_pass": 0}
         step, finish_pass = CoreModel.step, CoreModel.finish_pass
 
-        def counting_step(core, llc, memory):
+        def counting_step(core, access, memory):
             calls["step"] += 1
-            return step(core, llc, memory)
+            return step(core, access, memory)
 
-        def counting_finish_pass(core, llc, memory):
+        def counting_finish_pass(core, access, memory):
             calls["finish_pass"] += 1
-            return finish_pass(core, llc, memory)
+            return finish_pass(core, access, memory)
 
         monkeypatch.setattr(CoreModel, "step", counting_step)
         monkeypatch.setattr(CoreModel, "finish_pass", counting_finish_pass)

@@ -13,8 +13,11 @@ import pytest
 import repro
 
 from repro.check import fuzz, invariants
+from repro.cache.cache import SetAssociativeCache
+from repro.cache.replacement.basic import lru_factory
 from repro.check.invariants import (
     CHECK_ENV_VAR,
+    CHECK_INTERVAL_ACCESSES,
     MODE_ACCESS,
     MODE_EPOCH,
     MODES,
@@ -25,10 +28,14 @@ from repro.check.invariants import (
     engine_checker,
     snapshot_llc,
 )
+from repro.common.config import paper_system_config
 from repro.common.errors import InvariantViolation, ReproError
 from repro.nucache.organization import _DeliEntry
+from repro.prefetch.prefetchers import make_prefetcher
+from repro.sim import vector
 from repro.sim.engine import MulticoreEngine
 from repro.sim.policies import make_llc
+from repro.sim.runner import make_traces
 from repro.sim.vector import VectorEngine
 
 from conftest import make_trace
@@ -210,7 +217,7 @@ class TestViolationPayload:
 
 
 class TestEngineIntegration:
-    def _engine(self, policy="nucache", cores=1, cls=MulticoreEngine):
+    def _engine(self, policy="nucache", cores=1, cls=MulticoreEngine, prefetcher=None):
         case = fuzz.FuzzCase(policy=policy, cores=cores)
         config = fuzz.system_config(case)
         llc = make_llc(policy, config, seed=case.seed)
@@ -221,13 +228,16 @@ class TestEngineIntegration:
         # often, so the schedule's (clock, core_id) tie-break decides
         # which core reaches the LLC first.
         traces = [trace.relocated(core_id) for core_id in range(cores)]
-        return cls(traces, llc, config), llc
+        prefetchers = None
+        if prefetcher is not None:
+            prefetchers = [make_prefetcher(prefetcher) for _ in range(cores)]
+        return cls(traces, llc, config, prefetchers=prefetchers), llc
 
     @pytest.mark.parametrize("cores", [1, 4], ids=["1-core", "4-core"])
     def test_checked_run_matches_unchecked(self, monkeypatch, cores):
-        """Access-checked runs take the ``min()`` loop, unchecked and
-        epoch-checked NUcache runs the heap loop: both must schedule the
-        cores identically."""
+        """Access-checked runs call the checker's counting wrapper once
+        per LLC access, epoch-checked NUcache runs the LLC's own
+        ``access``: both must schedule the cores identically."""
         monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
         engine, _ = self._engine(cores=cores)
         baseline = engine.run().to_dict()
@@ -246,14 +256,7 @@ class TestEngineIntegration:
 
     @pytest.mark.parametrize("cls", [MulticoreEngine, VectorEngine])
     def test_epoch_mode_checks_every_boundary_and_the_end(self, monkeypatch, cls):
-        monkeypatch.setenv(CHECK_ENV_VAR, MODE_EPOCH)
-        checkers = []
-
-        def recording_engine_checker(llc):
-            checkers.append(engine_checker(llc))
-            return checkers[-1]
-
-        monkeypatch.setattr(invariants, "engine_checker", recording_engine_checker)
+        checkers = _record_checkers(monkeypatch, MODE_EPOCH)
         engine, llc = self._engine(cores=4, cls=cls)
         engine.run()
         (checker,) = checkers
@@ -269,9 +272,88 @@ class TestEngineIntegration:
         with pytest.raises(InvariantViolation):
             engine.run()  # the terminal finish() check fires at the latest
 
-    def test_access_mode_checks_every_step(self):
-        llc = _populated("lru", accesses=50)
-        checker = EngineChecker(llc, MODE_ACCESS)
-        for step in range(1, 6):
-            checker.after_step(step)
-        assert checker.checks_run == 5
+    @pytest.mark.parametrize(
+        "mode,interval", [(MODE_ACCESS, 1), (MODE_EPOCH, CHECK_INTERVAL_ACCESSES)]
+    )
+    def test_counting_wrapper_checks_at_its_interval(self, mode, interval):
+        llc = make_llc("lru", fuzz.system_config(fuzz.FuzzCase(policy="lru")))
+        checker = EngineChecker(llc, mode)
+        assert checker.counts_accesses  # an LRU LLC has no epoch controller
+        access = checker.counting(llc.access)
+        calls = 4 * interval - 1  # one short of the fourth check
+        for block in range(calls):
+            assert access(block, 0, 0, False) is False  # the LLC's answer: a miss
+        assert checker.checks_run == 3
+        assert llc.stats.total.misses == calls
+
+    @pytest.mark.parametrize("cls", [MulticoreEngine, VectorEngine])
+    @pytest.mark.parametrize(
+        "policy,cores,prefetcher,path",
+        [
+            ("lru", 4, None, "hybrid:checker"),
+            ("nucache", 4, None, "hybrid:llc_policy:nucache"),
+            ("ucp", 4, None, "hybrid:llc_policy:ucp"),
+            ("nucache", 1, "nextline", "scalar:prefetchers"),
+            ("lru", 2, "stride", "scalar:prefetchers"),
+        ],
+    )
+    def test_access_mode_checks_every_llc_access_and_the_end(
+        self, monkeypatch, cls, policy, cores, prefetcher, path
+    ):
+        checkers = _record_checkers(monkeypatch, MODE_ACCESS)
+        frames = []
+        monkeypatch.setattr(vector, "_replay_nucache", lambda *args: frames.append(1))
+        engine, llc = self._engine(policy, cores=cores, cls=cls, prefetcher=prefetcher)
+        engine.run()
+        (checker,) = checkers
+        accesses = llc.stats.total.hits + llc.stats.total.misses
+        assert checker.checks_run == accesses + 1
+        # Demand accesses reach the LLC; a prefetcher's fills add more.
+        demand = sum(core.llc_accesses() for core in engine.cores)
+        assert accesses > demand if prefetcher else accesses == demand
+        assert frames == []  # NUcache's frame would call no ``access``
+        if cls is VectorEngine:
+            assert engine.fallback_reason == path
+
+    @pytest.mark.parametrize("cls", [MulticoreEngine, VectorEngine])
+    def test_epoch_mode_catches_corruption_mid_run(self, monkeypatch, cls):
+        monkeypatch.setenv(CHECK_ENV_VAR, MODE_EPOCH)
+        config = paper_system_config(2)
+        llc = _CorruptingLRU(config.llc, at=CHECK_INTERVAL_ACCESSES + 100)
+        traces = make_traces(["mcf_like", "milc_like"], 3_000, 11)
+        engine = cls(traces, llc, config)
+        with pytest.raises(InvariantViolation) as caught:
+            engine.run()
+        # The first check after the corruption names its LLC access.
+        assert caught.value.context == f"LLC access {2 * CHECK_INTERVAL_ACCESSES}"
+        assert llc.calls == 2 * CHECK_INTERVAL_ACCESSES
+        if cls is VectorEngine:
+            assert engine.fallback_reason == "hybrid:llc_policy:corrupting-lru"
+
+
+def _record_checkers(monkeypatch, mode):
+    """Set ``REPRO_CHECK`` to ``mode``; returns the checkers runs make."""
+    monkeypatch.setenv(CHECK_ENV_VAR, mode)
+    checkers = []
+
+    def recording_engine_checker(llc):
+        checkers.append(engine_checker(llc))
+        return checkers[-1]
+
+    monkeypatch.setattr(invariants, "engine_checker", recording_engine_checker)
+    return checkers
+
+
+class _CorruptingLRU(SetAssociativeCache):
+    """A plain-LRU LLC that corrupts set 0's free list at access ``at``."""
+
+    def __init__(self, geometry, at):
+        super().__init__(geometry, lru_factory(), "corrupting-lru")
+        self.at = at
+        self.calls = 0
+
+    def access(self, block_addr, core, pc, is_write):
+        self.calls += 1
+        if self.calls == self.at:
+            self.sets[0]._free_ways.append(0)
+        return super().access(block_addr, core, pc, is_write)

@@ -109,7 +109,7 @@ class TestIntegration:
                                                                        confidence_threshold=1))
         memory = FixedLatencyMemory(config.latency.memory)
         for _ in range(len(trace)):
-            core.step(llc, memory)
+            core.step(llc.access, memory)
         # With a trained stride prefetcher the sequential walk should
         # have far fewer demand LLC misses than its 64 blocks.
         assert core.llc_misses() < 32
@@ -130,7 +130,7 @@ class TestIntegration:
                          prefetcher=NextLinePrefetcher(degree=1))
         memory = FixedLatencyMemory(config.latency.memory)
         for _ in range(len(trace)):
-            core.step(llc, memory)
+            core.step(llc.access, memory)
         assert PREFETCH_PC in seen_pcs
 
     def test_engine_validates_prefetcher_count(self):

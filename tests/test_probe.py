@@ -126,8 +126,9 @@ def _path(engine):
     [
         ({}, benchmark_names(), ACCESSES, "hybrid:llc_policy:nucache"),
         ({ENGINE_ENV: "scalar"}, benchmark_names(), ACCESSES, "scalar loop"),
+        # Checked per LLC access: the replay's generic loop, not the frame.
         ({CHECK_ENV_VAR: "access"}, ("art_like", "mcf_like"), CHECKED_ACCESSES,
-         "scalar:checker"),
+         "hybrid:llc_policy:nucache"),
     ],
     ids=["default", "scalar", "checked"],
 )

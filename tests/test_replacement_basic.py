@@ -31,13 +31,6 @@ class TestLRU:
         policy.touch(0, core=0)
         assert policy.victim() == 1
 
-    def test_invalidate_demotes(self):
-        policy = LRUPolicy(4)
-        for way in (0, 1, 2, 3):
-            policy.insert(way, core=0)
-        policy.invalidate(3)
-        assert policy.victim() == 3
-
     def test_rejects_zero_ways(self):
         with pytest.raises(ValueError):
             LRUPolicy(0)
@@ -115,12 +108,6 @@ class TestNRU:
         policy = NRUPolicy(2)
         policy.insert(0, core=0)
         policy.insert(1, core=0)  # saturates: resets all but way 1
-        assert policy.victim() == 0
-
-    def test_invalidate_clears_bit(self):
-        policy = NRUPolicy(2)
-        policy.insert(0, core=0)
-        policy.invalidate(0)
         assert policy.victim() == 0
 
 

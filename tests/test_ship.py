@@ -93,14 +93,6 @@ class TestSHiPPolicy:
             shct.train_dead(signature)
         assert not policy.should_bypass(0, 0x10)
 
-    def test_invalidate_trains_dead(self):
-        policy, shct = self._policy()
-        signature = shct.index_of(0, 0x10)
-        policy.insert(0, core=0, pc=0x10)
-        before = shct.value(signature)
-        policy.invalidate(0)
-        assert shct.value(signature) == before - 1
-
 
 class TestSHiPCache:
     def test_learns_to_deprioritize_stream(self):

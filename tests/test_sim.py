@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.cache import LEVEL_L1, LEVEL_MEMORY
+from repro.cache.cache import LEVEL_L1, LEVEL_L2, LEVEL_LLC, LEVEL_MEMORY
 from repro.common.config import paper_system_config, tiny_system_config
 from repro.common.errors import ConfigError, SimulationError
 from repro.sim.core import CoreModel
@@ -55,7 +55,7 @@ class TestCoreModel:
     def test_first_access_costs_memory_latency(self):
         core, config = self._core([0], gap=2)
         llc = make_llc("lru", config)
-        level = core.step(llc, FixedLatencyMemory(config.latency.memory))
+        level = core.step(llc.access, FixedLatencyMemory(config.latency.memory))
         assert level == LEVEL_MEMORY
         assert core.clock == 2 + config.latency.memory
 
@@ -64,19 +64,37 @@ class TestCoreModel:
         llc = make_llc("lru", config)
         memory = FixedLatencyMemory(config.latency.memory)
         assert core.l1 is None and core.l2 is None  # built by the first step
-        core.step(llc, memory)
+        core.step(llc.access, memory)
         assert core.l1.geometry == config.l1 and core.l2.geometry == config.l2
-        assert core.step(llc, memory) == LEVEL_L1
+        assert core.step(llc.access, memory) == LEVEL_L1
+
+    def test_l1_conflict_hits_l2(self):
+        # The tiny L1 has 4 sets of 2 ways: blocks 0, 4 and 8 share set
+        # 0, so the third evicts block 0, which the 4-way L2 still holds.
+        core, config = self._core([0, 4, 8, 0])
+        llc = make_llc("lru", config)
+        memory = FixedLatencyMemory(config.latency.memory)
+        levels = [core.step(llc.access, memory) for _ in range(4)]
+        assert levels == [LEVEL_MEMORY] * 3 + [LEVEL_L2]
+
+    def test_llc_catches_l2_victims(self):
+        # Blocks 0, 8, 16, 24 and 32 share L1 set 0 and L2 set 0 (8 sets
+        # of 4 ways), so block 0 leaves both; the 32-set LLC keeps it.
+        core, config = self._core([0, 8, 16, 24, 32, 0])
+        llc = make_llc("lru", config)
+        memory = FixedLatencyMemory(config.latency.memory)
+        levels = [core.step(llc.access, memory) for _ in range(6)]
+        assert levels == [LEVEL_MEMORY] * 5 + [LEVEL_LLC]
 
     def test_completion_freezes_stats(self):
         core, config = self._core([0, 1])
         llc = make_llc("lru", config)
         memory = FixedLatencyMemory(config.latency.memory)
-        core.step(llc, memory)
-        core.step(llc, memory)
+        core.step(llc.access, memory)
+        core.step(llc.access, memory)
         assert core.first_pass_done
         clock_at_completion = core.completion_clock
-        core.step(llc, memory)  # wraps around
+        core.step(llc.access, memory)  # wraps around
         assert core.completion_clock == clock_at_completion
         assert core.llc_misses() == 2
 
@@ -85,7 +103,7 @@ class TestCoreModel:
         llc = make_llc("lru", config)
         memory = FixedLatencyMemory(config.latency.memory)
         for _ in range(4):
-            core.step(llc, memory)
+            core.step(llc.access, memory)
         assert core.llc_misses() == 2  # only accesses 2 and 3 measured
         assert core.measured_accesses == 2
         assert core.cycles() < core.clock
@@ -99,7 +117,7 @@ class TestCoreModel:
         core, config = self._core([0, 1, 2], gap=1)
         llc = make_llc("lru", config)
         memory = FixedLatencyMemory(config.latency.memory)
-        core.step(llc, memory)
+        core.step(llc.access, memory)
         assert 0 < core.ipc() < 1
 
     def test_mpki(self):
@@ -107,7 +125,7 @@ class TestCoreModel:
         llc = make_llc("lru", config)
         memory = FixedLatencyMemory(config.latency.memory)
         for _ in range(4):
-            core.step(llc, memory)
+            core.step(llc.access, memory)
         assert core.mpki() == 250.0  # 1 miss / 4 instructions
 
 

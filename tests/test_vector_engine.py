@@ -36,6 +36,7 @@ from repro.check.oracle import make_reference
 from repro.common.config import CacheGeometry, paper_system_config
 from repro.common.errors import InvariantViolation, SimulationError
 from repro.exec.job import SimJob
+from repro.experiments import fig8_vs_partitioning, fig11_pc_policies
 from repro.obs.trace import Tracer, set_tracer
 from repro.prefetch.prefetchers import make_prefetcher
 from repro.sim import runner, vector
@@ -560,13 +561,13 @@ class TestNUcacheReplayFrame:
 class TestFallbackTriggers:
     """Unvectorized features delegate to the scalar loop, identically."""
 
-    def _engines(self, prefetcher=None, members=("mcf_like",)):
-        config = paper_system_config(len(members))
-        traces = make_traces(list(members), 2_000, 3)
+    def _engines(self, prefetcher=None):
+        config = paper_system_config(1)
+        traces = make_traces(["mcf_like"], 2_000, 3)
         def build(cls):
             prefetchers = None
             if prefetcher is not None:  # fresh instances: prefetchers are stateful
-                prefetchers = [make_prefetcher(prefetcher) for _ in members]
+                prefetchers = [make_prefetcher(prefetcher)]
             return cls(
                 traces, make_llc("lru", config, 3), config,
                 FixedLatencyMemory(config.latency.memory),
@@ -587,20 +588,56 @@ class TestFallbackTriggers:
         assert ends == [("sim.run", "scalar:prefetchers")]
         assert [r["phase"] for r in records if r["name"] == "sim.phase"] == ["loop"]
 
-    def test_access_checker_falls_back_to_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK", "access")
-        scalar, vector = self._engines()
-        assert scalar.run().to_dict() == vector.run().to_dict()
-        assert vector.fallback_reason == "scalar:checker"
 
-    def test_epoch_checker_without_controller_falls_back_to_scalar(
-        self, monkeypatch
-    ):
-        # An LRU LLC has no epochs: its checks count engine steps.
-        monkeypatch.setenv("REPRO_CHECK", "epoch")
-        scalar, vector = self._engines(members=("mcf_like", "milc_like"))
-        assert scalar.run().to_dict() == vector.run().to_dict()
-        assert vector.fallback_reason == "scalar:checker"
+
+#: Fig 8's and Fig 11's organizations without an epoch controller: under
+#: ``REPRO_CHECK=epoch`` their checks count LLC accesses.
+EPOCHLESS_POLICIES = sorted(
+    (set(fig8_vs_partitioning.POLICIES) | set(fig11_pc_policies.POLICIES))
+    - {"lru", "nucache", "nucache-ucp"}
+)
+
+
+class TestEpochCheckedPaths:
+    """An epoch-checked run takes its unchecked path, bar the LRU solve."""
+
+    def _run(self, policy, monkeypatch, mode="off", cores=2):
+        monkeypatch.setenv(CHECK_ENV_VAR, mode)
+        config = paper_system_config(cores)
+        traces = make_traces(["mcf_like", "milc_like", "art_like", "swim_like"][:cores],
+                             2_000, 3)
+        engine = VectorEngine(
+            traces, make_llc(policy, config, 3), config,
+            FixedLatencyMemory(config.latency.memory), warmup_fraction=0.25,
+        )
+        return engine.run().to_dict(), engine.fallback_reason
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_plain_lru_replays_instead_of_solving(self, cores, monkeypatch):
+        # The solve calls no ``access`` for the checker to count.
+        plain, path = self._run("lru", monkeypatch, cores=cores)
+        assert path is None
+        checked, path = self._run("lru", monkeypatch, "epoch", cores=cores)
+        assert path == "hybrid:checker"
+        assert checked == plain
+
+    @pytest.mark.parametrize("policy", EPOCHLESS_POLICIES)
+    def test_epochless_policy_keeps_its_replay(self, policy, monkeypatch):
+        plain, path = self._run(policy, monkeypatch)
+        checked, checked_path = self._run(policy, monkeypatch, "epoch")
+        assert path == checked_path == f"hybrid:llc_policy:{policy}"
+        assert checked == plain
+
+    @pytest.mark.parametrize("policy,frames", [("nucache", [1, 1]), ("nucache-ucp", [])])
+    def test_nucache_keeps_its_replay(self, policy, frames, monkeypatch):
+        # Epoch checks ride the rotation hook: NUcache keeps its frame,
+        # and NUcache-UCP its generic loop.
+        counted = _count_nucache_frames(monkeypatch)
+        plain, path = self._run(policy, monkeypatch, cores=4)
+        checked, checked_path = self._run(policy, monkeypatch, "epoch", cores=4)
+        assert path == checked_path == f"hybrid:llc_policy:{policy}"
+        assert counted == frames
+        assert checked == plain
 
 
 def _nucache_mix():
