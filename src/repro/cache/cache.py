@@ -4,7 +4,9 @@
 organization implements (plain policies, UCP, PIPP, NUcache); the
 multicore engine only ever talks to this interface.
 :class:`SetAssociativeCache` is the concrete policy-parameterized cache
-used for every non-partitioned organization and for the private levels.
+used for every non-partitioned organization.  The private L1 and L2 are
+not caches of this kind: :class:`~repro.sim.core.CoreModel` keeps only
+their tags.
 """
 
 from __future__ import annotations
@@ -137,11 +139,7 @@ class SetAssociativeCache(LastLevelCache):
 
         One combined set lookup and inlined stats bookkeeping
         (``SharedCacheStats.record`` unrolled) instead of the
-        find/touch/record call chain.  :meth:`CoreModel.finish_pass
-        <repro.sim.core.CoreModel.finish_pass>` inlines a literal copy
-        of this body, with the LRU branches of :meth:`CacheSet.lookup`
-        and :meth:`CacheSet.allocate`, for the private L1 and L2: a
-        change here must be made there too.
+        find/touch/record call chain.
         """
         cache_set = self.sets[block_addr & self._set_mask]
         tag = block_addr >> self._index_bits
@@ -171,11 +169,6 @@ class SetAssociativeCache(LastLevelCache):
         counters = super().snapshot_counters()
         counters["fills"] = self.fills
         return counters
-
-    def probe(self, block_addr: int) -> bool:
-        """Check presence without disturbing any state."""
-        cache_set = self.sets[block_addr & self._set_mask]
-        return cache_set.find(block_addr >> self._index_bits) >= 0
 
     def set_of(self, block_addr: int) -> CacheSet:
         """The set a block address maps to (for tests and monitors)."""

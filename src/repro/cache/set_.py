@@ -66,13 +66,11 @@ class CacheSet:
         return self._tag_to_way.get(tag, -1)
 
     def lookup(self, tag: int, core: int, is_write: bool) -> int:
-        """Combined find+touch: service a potential hit in one call.
+        """Service a potential hit in one call.
 
-        Returns the way holding ``tag`` after recording the hit on it,
-        or -1 on miss (no state changes).  Equivalent to ``find`` then
-        ``touch``, minus the call overhead on the hot path.  The LRU
-        branch has a literal copy in ``CoreModel.finish_pass``'s private
-        L1/L2 walk, which a change here must follow.
+        Returns the way holding ``tag`` after recording the hit on it
+        (the policy's ``touch``, and the dirty bit on a write), or -1 on
+        miss (no state changes).
         """
         way = self._tag_to_way.get(tag, -1)
         if way >= 0:
@@ -90,12 +88,6 @@ class CacheSet:
                 self._dirty[way] = True
         return way
 
-    def touch(self, way: int, core: int, is_write: bool) -> None:
-        """Record a hit on ``way``."""
-        self.policy.touch(way, core)
-        if is_write:
-            self._dirty[way] = True
-
     def allocate(
         self, tag: int, core: int, pc: int, is_write: bool
     ) -> Optional[Tuple[int, bool]]:
@@ -104,9 +96,6 @@ class CacheSet:
         Free ways are filled without consulting ``policy.victim``, but
         ``policy.insert`` runs after *every* fill — free-way or victim —
         which is the contract every policy's state machine relies on.
-        The LRU branches have a literal copy in
-        ``CoreModel.finish_pass``'s private L1/L2 walk, which a change
-        here must follow.
 
         Returns:
             ``(evicted_tag, evicted_dirty)`` when a valid line was

@@ -1,10 +1,10 @@
 """The multicore trace-driven engine.
 
-Cores progress on local clocks; at every step the engine advances the
-core with the *smallest* clock, so accesses from different cores reach
-the shared LLC in global time order.  A core that finishes its first
-pass leaves the schedule: it is never stepped again, so its clock stays
-at its completion and the slower cores run on without its contention.
+Cores progress on local clocks; the engine always runs the core with
+the *smallest* clock, so accesses from different cores reach the shared
+LLC in global time order.  A core that finishes its first pass leaves
+the schedule: it never runs again, so its clock stays at its
+completion and the slower cores run on without its contention.
 The standard multiprogrammed methodology instead keeps early finishers
 running; DESIGN.md lists this as a methodology deviation.
 """
@@ -231,19 +231,16 @@ class MulticoreEngine:
             return watch.finish(self._collect(), "scalar")
 
     def _run_loop(self, access) -> None:
-        """Step every pending core to the end of its first pass.
+        """Run every pending core to the end of its first pass.
 
         ``access`` is what every LLC access calls
         (:attr:`RunWatch.access`).  The schedule is ordered by
-        ``(clock, core_id)``, and only the stepped core's clock moves,
-        so a heap keyed that way steps its root until the root passes
-        the next core's key: one heap operation per overtake rather than
-        a key call per core per access.  A lone pending core (every
-        single-core run; the tail of every multicore run) needs no
-        schedule at all: :meth:`CoreModel.finish_pass` runs the rest of
-        its pass in one frame.  The heap's root is overtaken every 1.2
-        accesses or so on the paper's mixes, too often for a frame per
-        turn to pay.
+        ``(clock, core_id)``, and only the running core's clock moves,
+        so a heap keyed that way lets its root run until the root passes
+        the next core's key: one :meth:`CoreModel.advance` frame and one
+        heap operation per overtake.  A lone pending core (every
+        single-core run; the tail of every multicore run) has no rival
+        and runs the rest of its pass in one frame.
         """
         memory = self.memory
         heap = [
@@ -251,21 +248,20 @@ class MulticoreEngine:
             for core in self.cores if not core.first_pass_done
         ]
         heapify(heap)
-        while len(heap) > 1:
-            _clock, core_id, runner = heap[0]
-            next_clock, next_id, _next = min(heap[1:3])
-            # The root stays first while (clock, core_id) < the next key.
-            limit = next_clock if core_id < next_id else next_clock - 1
-            step = runner.step
-            step(access, memory)
-            while runner.clock <= limit and runner.completion_clock < 0:
-                step(access, memory)
-            if runner.completion_clock < 0:
-                heapreplace(heap, (runner.clock, core_id, runner))
+        while heap:
+            _clock, core_id, core = heap[0]
+            size = len(heap)
+            if size > 1:
+                rival = heap[1] if size == 2 or heap[1] < heap[2] else heap[2]
+                # The root stays first while (clock, core_id) < the rival's key.
+                limit = rival[0] if core_id < rival[1] else rival[0] - 1
+                core.advance(access, memory, limit)
+            else:
+                core.advance(access, memory)
+            if core.completion_clock < 0:
+                heapreplace(heap, (core.clock, core_id, core))
             else:
                 heappop(heap)
-        if heap:
-            heap[0][2].finish_pass(access, memory)
 
     def _collect(self) -> SimResult:
         core_results = [

@@ -60,10 +60,10 @@ class TestCacheSet:
         cache_set.allocate(1, 0, 0, True)
         assert cache_set.allocate(2, 0, 0, False) == (1, True)
 
-    def test_touch_write_sets_dirty(self):
+    def test_lookup_write_sets_dirty(self):
         cache_set = self._set(2)
         cache_set.allocate(1, 0, 0, False)
-        cache_set.touch(cache_set.find(1), core=0, is_write=True)
+        assert cache_set.lookup(1, core=0, is_write=True) == cache_set.find(1)
         assert cache_set.allocate(2, 0, 0, False) is None
         assert cache_set.allocate(3, 0, 0, False) == (1, True)
 
@@ -142,14 +142,14 @@ class TestSetAssociativeCache:
         cache.access(2, 0, 0, False)  # evicts 0
         assert not cache.access(0, 0, 0, False)
 
-    def test_probe_does_not_disturb(self):
+    def test_find_does_not_disturb(self):
         cache = self._cache(sets=1, ways=2)
         cache.access(0, 0, 0, False)
         cache.access(1, 0, 0, False)
         for _ in range(5):
-            assert cache.probe(0)
+            assert cache.set_of(0).find(0) >= 0
         cache.access(2, 0, 0, False)  # LRU is still 0
-        assert not cache.probe(0)
+        assert cache.set_of(0).find(0) == -1
 
     def test_stats_per_core(self):
         cache = self._cache()
@@ -222,7 +222,7 @@ class TestDeferredLRUSets:
         assert isinstance(cache.sets, list) and calls == list(range(8))
         assert cache.access(5, 0, 0, False)
 
-    @pytest.mark.parametrize("first_use", ["index", "iterate", "len", "probe"])
+    @pytest.mark.parametrize("first_use", ["index", "iterate", "len", "set_of"])
     def test_every_reader_builds_the_same_sets(self, first_use):
         cache = SetAssociativeCache(self.GEOMETRY, lru_factory(), "lazy")
         if first_use == "index":
@@ -233,8 +233,8 @@ class TestDeferredLRUSets:
             assert len(cache.sets) == 8
             first = cache.sets[3]
         else:
-            assert not cache.probe(3)
-            first = cache.sets[3]
+            first = cache.set_of(3)
+            assert first.find(0) == -1
         assert cache.build_sets() is cache.sets
         assert cache.sets[3] is first
         assert [s.occupancy for s in cache.sets] == [0] * 8

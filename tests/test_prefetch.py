@@ -108,8 +108,7 @@ class TestIntegration:
         core = CoreModel(0, trace, config, prefetcher=StridePrefetcher(degree=4,
                                                                        confidence_threshold=1))
         memory = FixedLatencyMemory(config.latency.memory)
-        for _ in range(len(trace)):
-            core.step(llc.access, memory)
+        core.advance(llc.access, memory)
         # With a trained stride prefetcher the sequential walk should
         # have far fewer demand LLC misses than its 64 blocks.
         assert core.llc_misses() < 32
@@ -129,8 +128,8 @@ class TestIntegration:
         core = CoreModel(0, trace, config,
                          prefetcher=NextLinePrefetcher(degree=1))
         memory = FixedLatencyMemory(config.latency.memory)
-        for _ in range(len(trace)):
-            core.step(llc.access, memory)
+        core.advance(llc.access, memory)
+        assert core.first_pass_done
         assert PREFETCH_PC in seen_pcs
 
     def test_engine_validates_prefetcher_count(self):

@@ -50,63 +50,76 @@ class TestCoreModel:
     def _core(self, blocks, gap=0, warmup=0, config=None):
         config = config or tiny_system_config(1)
         trace = make_trace(blocks, gap=gap)
-        return CoreModel(0, trace, config, warmup_accesses=warmup), config
-
-    def test_first_access_costs_memory_latency(self):
-        core, config = self._core([0], gap=2)
-        llc = make_llc("lru", config)
-        level = core.step(llc.access, FixedLatencyMemory(config.latency.memory))
-        assert level == LEVEL_MEMORY
-        assert core.clock == 2 + config.latency.memory
-
-    def test_repeat_access_hits_l1(self):
-        core, config = self._core([0, 0])
         llc = make_llc("lru", config)
         memory = FixedLatencyMemory(config.latency.memory)
-        assert core.l1 is None and core.l2 is None  # built by the first step
-        core.step(llc.access, memory)
-        assert core.l1.geometry == config.l1 and core.l2.geometry == config.l2
-        assert core.step(llc.access, memory) == LEVEL_L1
+        return CoreModel(0, trace, config, warmup_accesses=warmup), llc, memory
+
+    @staticmethod
+    def _run(core, llc, memory, accesses):
+        """Run ``accesses`` accesses, one frame each."""
+        for _ in range(accesses):
+            core.advance(llc.access, memory, core.clock)
+
+    def test_first_access_costs_memory_latency(self):
+        core, llc, memory = self._core([0, 1], gap=2)
+        self._run(core, llc, memory, 1)
+        assert core.cursor == 1 and core.level_counts[LEVEL_MEMORY] == 1
+        assert core.clock == 2 + memory.latency
+
+    def test_repeat_access_hits_l1(self):
+        core, llc, memory = self._core([0, 0])
+        config = core.config
+        assert core.l1 is None and core.l2 is None  # built by the first frame
+        self._run(core, llc, memory, 1)
+        assert len(core.l1) == config.l1.num_sets and len(core.l2) == config.l2.num_sets
+        self._run(core, llc, memory, 1)
+        assert core.level_counts == {
+            LEVEL_L1: 1, LEVEL_L2: 0, LEVEL_LLC: 0, LEVEL_MEMORY: 1,
+        }
+        assert core.clock == memory.latency + config.latency.l1_hit
 
     def test_l1_conflict_hits_l2(self):
         # The tiny L1 has 4 sets of 2 ways: blocks 0, 4 and 8 share set
         # 0, so the third evicts block 0, which the 4-way L2 still holds.
-        core, config = self._core([0, 4, 8, 0])
-        llc = make_llc("lru", config)
-        memory = FixedLatencyMemory(config.latency.memory)
-        levels = [core.step(llc.access, memory) for _ in range(4)]
-        assert levels == [LEVEL_MEMORY] * 3 + [LEVEL_L2]
+        core, llc, memory = self._core([0, 4, 8, 0])
+        core.advance(llc.access, memory)
+        assert core.level_counts == {
+            LEVEL_L1: 0, LEVEL_L2: 1, LEVEL_LLC: 0, LEVEL_MEMORY: 3,
+        }
+        # Tags, most recent first: block 0 is tag 0 of both sets 0.
+        assert core.l1[0] == [0, 2] and core.l2[0] == [0, 1] and core.l2[4] == [0]
+        assert core.clock == 3 * memory.latency + core.config.latency.l2_hit
 
     def test_llc_catches_l2_victims(self):
         # Blocks 0, 8, 16, 24 and 32 share L1 set 0 and L2 set 0 (8 sets
         # of 4 ways), so block 0 leaves both; the 32-set LLC keeps it.
-        core, config = self._core([0, 8, 16, 24, 32, 0])
-        llc = make_llc("lru", config)
-        memory = FixedLatencyMemory(config.latency.memory)
-        levels = [core.step(llc.access, memory) for _ in range(6)]
-        assert levels == [LEVEL_MEMORY] * 5 + [LEVEL_LLC]
+        core, llc, memory = self._core([0, 8, 16, 24, 32, 0])
+        core.advance(llc.access, memory)
+        assert core.level_counts == {
+            LEVEL_L1: 0, LEVEL_L2: 0, LEVEL_LLC: 1, LEVEL_MEMORY: 5,
+        }
+        assert core.clock == 5 * memory.latency + core.config.latency.llc_hit
 
-    def test_completion_freezes_stats(self):
-        core, config = self._core([0, 1])
-        llc = make_llc("lru", config)
-        memory = FixedLatencyMemory(config.latency.memory)
-        core.step(llc.access, memory)
-        core.step(llc.access, memory)
-        assert core.first_pass_done
-        clock_at_completion = core.completion_clock
-        core.step(llc.access, memory)  # wraps around
-        assert core.completion_clock == clock_at_completion
+    def test_advancing_a_finished_core_changes_nothing(self):
+        core, llc, memory = self._core([0, 1])
+        self._run(core, llc, memory, 2)
+        assert core.first_pass_done and core.cursor == 0 and core.passes == 1
+        state = (core.clock, core.completion_clock, dict(core.level_counts),
+                 llc.snapshot_counters(), memory.requests)
+        core.advance(llc.access, memory)
+        self._run(core, llc, memory, 1)
+        assert core.cursor == 0 and core.passes == 1
+        assert state == (core.clock, core.completion_clock, dict(core.level_counts),
+                         llc.snapshot_counters(), memory.requests)
         assert core.llc_misses() == 2
 
     def test_warmup_excluded_from_stats(self):
-        core, config = self._core([0, 1, 2, 3], warmup=2)
-        llc = make_llc("lru", config)
-        memory = FixedLatencyMemory(config.latency.memory)
-        for _ in range(4):
-            core.step(llc.access, memory)
+        core, llc, memory = self._core([0, 1, 2, 3], warmup=2)
+        self._run(core, llc, memory, 4)
         assert core.llc_misses() == 2  # only accesses 2 and 3 measured
         assert core.measured_accesses == 2
         assert core.cycles() < core.clock
+        assert core.warmup_clock == 2 * memory.latency
 
     def test_warmup_bounds_checked(self):
         config = tiny_system_config(1)
@@ -114,18 +127,13 @@ class TestCoreModel:
             CoreModel(0, make_trace([0, 1]), config, warmup_accesses=2)
 
     def test_ipc_mid_pass(self):
-        core, config = self._core([0, 1, 2], gap=1)
-        llc = make_llc("lru", config)
-        memory = FixedLatencyMemory(config.latency.memory)
-        core.step(llc.access, memory)
+        core, llc, memory = self._core([0, 1, 2], gap=1)
+        self._run(core, llc, memory, 1)
         assert 0 < core.ipc() < 1
 
     def test_mpki(self):
-        core, config = self._core([0, 0, 0, 0], gap=0)
-        llc = make_llc("lru", config)
-        memory = FixedLatencyMemory(config.latency.memory)
-        for _ in range(4):
-            core.step(llc.access, memory)
+        core, llc, memory = self._core([0, 0, 0, 0], gap=0)
+        self._run(core, llc, memory, 4)
         assert core.mpki() == 250.0  # 1 miss / 4 instructions
 
 
@@ -171,7 +179,7 @@ class TestMulticoreEngine:
 
     @pytest.mark.parametrize("engine_cls", [MulticoreEngine, VectorEngine])
     def test_finished_core_stops_at_its_completion(self, engine_cls):
-        # An early finisher is never stepped again: it does not wrap
+        # An early finisher never runs again: it does not wrap
         # around and add contention while slower cores finish (a
         # methodology deviation, see DESIGN.md).
         config = paper_system_config(2)

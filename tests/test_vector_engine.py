@@ -781,8 +781,8 @@ class TestEngineSelection:
 
 class TestMemoryHygiene:
     """A batched run leaves no scratch memory, per-access lists or private
-    caches behind: the cores' L1 and L2 objects are built only for a core
-    that steps, and a plain-LRU LLC's sets only for a run that reads
+    caches behind: the cores' L1 and L2 tag lists are built only for a
+    core that runs, and a plain-LRU LLC's sets only for a run that reads
     them."""
 
     def test_default_lru_mix_releases_pool_and_builds_no_lists(self, monkeypatch):

@@ -29,12 +29,15 @@ from pathlib import Path
 from typing import Iterator, List, Tuple
 
 #: Defaults checked when no paths are given: the layers whose public
-#: APIs carry the documented execution/observability contracts.
+#: APIs carry the documented execution/observability contracts, and
+#: the scalar and vector engines.
 DEFAULT_PATHS = (
     "src/repro/bench",
     "src/repro/check",
     "src/repro/exec",
     "src/repro/obs",
+    "src/repro/sim/core.py",
+    "src/repro/sim/engine.py",
     "src/repro/sim/vector.py",
 )
 
