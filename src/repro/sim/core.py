@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cache.cache import LEVEL_L1, LEVEL_L2, LEVEL_LLC, LEVEL_MEMORY
 from repro.common.addr import log2_exact
-from repro.common.config import LatencyConfig, SystemConfig
+from repro.common.config import SystemConfig
 from repro.prefetch.prefetchers import PREFETCH_PC, Prefetcher
 from repro.sim.memory import FixedLatencyMemory
 from repro.workloads.trace import Trace
@@ -63,7 +63,6 @@ class CoreModel:
         # (set mask, index bits, ways) of each private level.
         self._l1_shape = (l1.num_sets - 1, log2_exact(l1.num_sets), l1.ways)
         self._l2_shape = (l2.num_sets - 1, log2_exact(l2.num_sets), l2.ways)
-        self.latency: LatencyConfig = config.latency
         # Hit latencies flattened out of the frozen dataclass: a dataclass
         # attribute access is two lookups deep.
         self._lat_l1 = config.latency.l1_hit
